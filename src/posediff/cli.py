@@ -26,6 +26,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .denoising import decomposed_loss, parse_denoiser
-from .errors import DegenerateRotation6D, InvalidConfig, NonPositiveDepth, PoseDiffError
+from .denoising import Observation, decomposed_loss, parse_denoiser, parse_denoiser_spec
+from .errors import ABORTS, InvalidConfig, PoseDiffError
 from .forward_diffusion import (
     FrustumBox,
     NoiseScales,
@@ -55,13 +56,24 @@ from .metrics import (
     scenario_rng,
 )
 from .mononorm import NormConfig, normalize
-from .reverse import ReverseConfig, run_direct_regression, run_reverse
+from .reverse import (
+    INIT_MODES,
+    MODES,
+    SIGMA_FORMS,
+    ReverseConfig,
+    run_direct_regression,
+    run_reverse,
+)
 from .robot_chain import ChainSpec, forward_kinematics, sample_points
-from .se3_camera import in_frustum
+
+logger = logging.getLogger(__name__)
 
 RNG_SCHEME = "numpy default_rng seeded with [seed, scenario_index, stream]"
 
-MODES = ("ddim", "direct", "tracking")
+# Fewest scenarios per --workers chunk of an estimate run. A chunk's cost per
+# step is mostly numpy call overhead, which does not shrink with its length,
+# so splitting off a tiny chunk adds calls and saves nothing.
+MIN_CHUNK = 8
 
 
 @dataclass
@@ -108,10 +120,11 @@ class RunConfig:
             (self.eta >= 0, "eta", "must be >= 0"),
             (1 <= self.ddim_steps <= self.steps, "ddim_steps", "need 1 <= ddim_steps <= steps"),
             (self.refine_steps >= 0, "refine_steps", "must be >= 0"),
-            (self.sigma_form in ("paper", "standard"), "sigma_form", "paper or standard"),
+            (self.sigma_form in SIGMA_FORMS, "sigma_form", f"must be one of {SIGMA_FORMS}"),
             (self.mode in MODES, "mode", f"must be one of {MODES}"),
-            (self.init in ("canonical", "prior-sample", "previous-estimate"), "init",
-             "canonical, prior-sample or previous-estimate"),
+            (self.init in INIT_MODES, "init", f"must be one of {INIT_MODES}"),
+            (self.init != "previous-estimate" or self.mode == "tracking", "init",
+             "previous-estimate needs --mode tracking, which starts from the ground truth"),
             (self.scenarios >= 1, "scenarios", "must be >= 1"),
             (self.draws >= 1, "draws", "must be >= 1"),
             (self.per_link >= 1, "per_link", "must be >= 1"),
@@ -122,6 +135,7 @@ class RunConfig:
         for ok, fieldname, msg in checks:
             if not ok:
                 raise InvalidConfig(f"{fieldname}: {msg}")
+        parse_denoiser_spec(self.denoiser)
         self.parse_timesteps()
         return self
 
@@ -289,55 +303,117 @@ def _run_pool(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
-    sched, norm, scales, box, chain, oracle = _build_world(cfg)
-    ranges = ScenarioRanges(margin=cfg.margin, obs_noise_px=cfg.obs_noise)
-    scen = generate_scenarios(cfg.seed, cfg.scenarios, ranges, chain, norm)
-    rcfg = ReverseConfig(
-        ddim_steps=cfg.ddim_steps,
-        refine_steps=cfg.refine_steps,
+def _chunks(items: list, workers: int) -> list[list]:
+    """`items` split into at most `workers` contiguous chunks of near-equal
+    length, each at least MIN_CHUNK long unless there is only one."""
+    n = max(1, min(workers, len(items) // MIN_CHUNK))
+    bounds = [len(items) * k // n for k in range(n + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _estimate_reverse_config(cfg: RunConfig) -> ReverseConfig:
+    """The reverse loop of `cfg.mode`; tracking is a single scheduled step
+    from the previous estimate."""
+    tracking = cfg.mode == "tracking"
+    return ReverseConfig(
+        ddim_steps=1 if tracking else cfg.ddim_steps,
+        refine_steps=0 if tracking else cfg.refine_steps,
         eta=cfg.eta,
-        init_mode=cfg.init,
+        init_mode="previous-estimate" if tracking else cfg.init,
         sigma_form=cfg.sigma_form,
         margin=cfg.margin,
     )
-    iterations = cfg.ddim_steps + cfg.refine_steps
 
-    def one(sc):
-        obs = make_observation(sc, chain, cfg.seed)
-        rng = scenario_rng(cfg.seed, sc.index, STREAM_ESTIMATE)
-        keypoints = forward_kinematics(chain, sc.joints)
-        try:
-            if cfg.mode == "ddim":
-                final, traj = run_reverse(
-                    obs, chain, sched, scales, norm, rcfg, oracle, rng,
-                    keypoints=keypoints,
-                )
-            elif cfg.mode == "direct":
-                final, traj = run_direct_regression(
-                    obs, chain, sched, scales, norm, iterations, oracle, rng,
-                    init_mode=cfg.init, keypoints=keypoints,
-                )
-            else:  # tracking: single scheduled step from the previous estimate
-                tracking = ReverseConfig(
-                    ddim_steps=1,
-                    refine_steps=0,
-                    eta=cfg.eta,
-                    init_mode="previous-estimate",
-                    sigma_form=cfg.sigma_form,
-                    margin=cfg.margin,
-                )
-                final, traj = run_reverse(
-                    obs, chain, sched, scales, norm, tracking, oracle, rng,
-                    prev_pose=sc.gt_pose, keypoints=keypoints,
-                )
-        except (DegenerateRotation6D, NonPositiveDepth) as exc:
-            return (sc.index, float("inf"), 0, cfg.mode, 1, type(exc).__name__), None
-        add = add_metric(sc.gt_pose, final, keypoints)
-        return (sc.index, add, len(traj), cfg.mode, 0, ""), traj
+
+def _scenario_rows(cfg: RunConfig, index: int, add: float, reason: str, traj=None, row=None):
+    """The estimate CSV row of one scenario and its trajectory CSV rows.
+
+    `traj` is the scenario's own trajectory, or a batch trajectory with the
+    scenario in `row`. An aborted scenario has no trajectory rows.
+    """
+    if reason:
+        return (index, float("inf"), 0, cfg.mode, 1, reason), []
+    steps = []
+    if cfg.trajectories:
+        for s in traj.steps:
+            R, t = (s.pose.R, s.pose.t) if row is None else (s.pose.R[row], s.pose.t[row])
+            steps.append(
+                (index, s.index, s.timestep, s.cond_t,
+                 R[0, 0], R[0, 1], R[0, 2], t[0],
+                 R[1, 0], R[1, 1], R[1, 2], t[1],
+                 R[2, 0], R[2, 1], R[2, 2], t[2],
+                 s.add if row is None else s.add[row])
+            )
+    return (index, add, len(traj), cfg.mode, 0, ""), steps
+
+
+def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios: list) -> list:
+    """Run one chunk of scenarios as a single lockstep batch.
+
+    Returns `_scenario_rows` for each scenario, in order.
+    """
+    sched, norm, scales, _, chain, oracle = world
+    record = bool(cfg.trajectories)
+
+    def run(obs, rng, keypoints):
+        if cfg.mode == "direct":
+            return run_direct_regression(
+                obs, chain, sched, scales, norm, cfg.ddim_steps + cfg.refine_steps, oracle, rng,
+                init_mode=cfg.init, keypoints=keypoints, record_poses=record,
+            )
+        return run_reverse(
+            obs, chain, sched, scales, norm, rcfg, oracle, rng,
+            prev_pose=obs.gt_pose if cfg.mode == "tracking" else None,
+            keypoints=keypoints, record_poses=record,
+        )
+
+    observations = [make_observation(sc, chain, cfg.seed) for sc in scenarios]
+    rngs = [scenario_rng(cfg.seed, sc.index, STREAM_ESTIMATE) for sc in scenarios]
+    keypoints = np.stack([forward_kinematics(chain, sc.joints) for sc in scenarios])
+    batch = Observation.stack(observations)
+    try:
+        final, traj = run(batch, rngs, keypoints)
+    except Exception:
+        # A batch run records row aborts rather than raising them, so this is
+        # a fault of the run itself: rerun the chunk one scenario at a time
+        # to record aborts per scenario and let any other error name its own.
+        logger.warning(
+            "lockstep run of scenarios %d-%d failed; rerunning them one at a time",
+            scenarios[0].index, scenarios[-1].index, exc_info=True,
+        )
+        results = []
+        for sc, obs, kp in zip(scenarios, observations, keypoints):
+            try:
+                final, traj = run(obs, scenario_rng(cfg.seed, sc.index, STREAM_ESTIMATE), kp)
+            except ABORTS as exc:
+                results.append(_scenario_rows(cfg, sc.index, float("inf"), type(exc).__name__))
+                continue
+            add = add_metric(sc.gt_pose, final, kp)
+            results.append(_scenario_rows(cfg, sc.index, add, "", traj))
+        return results
+    done = traj.reasons == ""
+    adds = np.full(len(scenarios), np.inf)
+    adds[done] = add_metric(batch.gt_pose[done], final[done], keypoints[done])
+    return [
+        _scenario_rows(cfg, sc.index, adds[j], traj.reasons[j], traj, j)
+        for j, sc in enumerate(scenarios)
+    ]
+
+
+def cmd_estimate(cfg: RunConfig) -> int:
+    world = _build_world(cfg)
+    _, norm, _, _, chain, _ = world
+    ranges = ScenarioRanges(margin=cfg.margin, obs_noise_px=cfg.obs_noise)
+    scen = generate_scenarios(cfg.seed, cfg.scenarios, ranges, chain, norm)
+    rcfg = _estimate_reverse_config(cfg)
 
     t0 = time.perf_counter()
-    results = _run_pool(one, scen.scenarios, cfg.workers)
+    chunks = _run_pool(
+        lambda chunk: _estimate_chunk(cfg, world, rcfg, chunk),
+        _chunks(scen.scenarios, cfg.workers),
+        cfg.workers,
+    )
+    results = [result for chunk in chunks for result in chunk]
     elapsed = time.perf_counter() - t0
 
     rows = [r for r, _ in results]
@@ -367,19 +443,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
     _write_json(cfg.out + ".json", summary)
 
     if cfg.trajectories:
-        traj_rows = []
-        for (idx, *_), traj in results:
-            if traj is None:
-                continue
-            for s in traj.steps:
-                R, t = s.pose.R, s.pose.t
-                traj_rows.append(
-                    (idx, s.index, s.timestep, s.cond_t,
-                     R[0, 0], R[0, 1], R[0, 2], t[0],
-                     R[1, 0], R[1, 1], R[1, 2], t[1],
-                     R[2, 0], R[2, 1], R[2, 2], t[2],
-                     s.add)
-                )
+        traj_rows = [step for _, steps in results for step in steps]
         _write_csv(
             cfg.trajectories,
             _metadata(cfg, "estimate"),
@@ -476,11 +540,11 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float, help="DDIM noise scale")
     p.add_argument("--ddim-steps", type=int, dest="ddim_steps")
     p.add_argument("--refine-steps", type=int, dest="refine_steps")
-    p.add_argument("--sigma-form", choices=("paper", "standard"), dest="sigma_form")
+    p.add_argument("--sigma-form", choices=SIGMA_FORMS, dest="sigma_form")
     p.add_argument("--denoiser", help="perfect | noisy:S0 | biased:PX")
     p.add_argument("--competence", type=float, help="oracle correction range, k-sigma units")
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--init", choices=("canonical", "prior-sample", "previous-estimate"))
+    p.add_argument("--init", choices=INIT_MODES)
     p.add_argument("--scenarios", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--clamp", action=argparse.BooleanOptionalAction, default=None)

@@ -39,21 +39,25 @@ def scenario_rng(seed: int, index: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, index, stream])
 
 
-def add_metric(gt: Pose, pred: Pose, keypoints: np.ndarray) -> float:
+def add_metric(gt: Pose, pred: Pose, keypoints: np.ndarray) -> float | np.ndarray:
     """Mean keypoint distance between the two poses, in meters.
 
     Kept independent of `denoising.point_distance` so the two serve as
-    cross-checks.
+    cross-checks. Batched poses with (N, K, 3) keypoints give one ADD per row.
 
     Raises:
         EmptyPointSet: on an empty keypoint list.
     """
-    pts = np.asarray(keypoints, dtype=float).reshape(-1, 3)
-    if pts.shape[0] == 0:
+    pts = np.asarray(keypoints, dtype=float)
+    if pts.ndim < 2:
+        pts = pts.reshape(-1, 3)
+    if pts.shape[-2] == 0:
         raise EmptyPointSet("keypoint list is empty")
-    a = (gt.R @ pts.T).T + gt.t
-    b = (pred.R @ pts.T).T + pred.t
-    return float(np.sqrt(((a - b) ** 2).sum(axis=1)).mean())
+    cols = np.swapaxes(pts, -1, -2)
+    a = np.swapaxes(gt.R @ cols, -1, -2) + gt.t[..., None, :]
+    b = np.swapaxes(pred.R @ cols, -1, -2) + pred.t[..., None, :]
+    add = np.sqrt(((a - b) ** 2).sum(axis=-1)).mean(axis=-1)
+    return float(add) if add.ndim == 0 else add
 
 
 def auc(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDepth
+from .errors import NonPositiveDepth, fail_where
 from .se3_camera import CameraIntrinsics, Pose, gram_schmidt_6d
 
 
@@ -52,55 +52,78 @@ class NormalizedPose:
     """Monocular-normalized pose: 6 rotation components plus (tx_n, ty_n, tz_n).
 
     Arbitrary reals are legal (diffusion noise lands here); only
-    `denormalize` imposes validity requirements.
+    `denormalize` imposes validity requirements. A batch of N poses has
+    rot6 (N, 6) and (N,) translation components.
     """
 
     rot6: np.ndarray
-    tx_n: float
-    ty_n: float
-    tz_n: float
+    tx_n: float | np.ndarray
+    ty_n: float | np.ndarray
+    tz_n: float | np.ndarray
 
     def __post_init__(self):
-        self.rot6 = np.asarray(self.rot6, dtype=float).reshape(6)
+        self.rot6 = np.asarray(self.rot6, dtype=float)
+        if getattr(self.tz_n, "ndim", 0) == 0:
+            self.rot6 = self.rot6.reshape(6)
 
     def as_vector(self) -> np.ndarray:
         """Pack into the canonical 9-vector layout [rot6 | tx_n, ty_n, tz_n]."""
-        return np.concatenate([self.rot6, [self.tx_n, self.ty_n, self.tz_n]])
+        vec = np.empty(self.rot6.shape[:-1] + (9,))
+        vec[..., :6] = self.rot6
+        vec[..., 6] = self.tx_n
+        vec[..., 7] = self.ty_n
+        vec[..., 8] = self.tz_n
+        return vec
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "NormalizedPose":
-        vec = np.asarray(vec, dtype=float).reshape(9)
-        return cls(vec[:6].copy(), float(vec[6]), float(vec[7]), float(vec[8]))
+        """Unpack a 9-vector, or an (N, 9) batch of them."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.ndim < 2:
+            vec = vec.reshape(9)
+            return cls(vec[:6].copy(), float(vec[6]), float(vec[7]), float(vec[8]))
+        return cls(vec[..., :6].copy(), vec[..., 6].copy(), vec[..., 7].copy(), vec[..., 8].copy())
 
 
-def normalize(pose: Pose, intrinsics: CameraIntrinsics, cfg: NormConfig) -> NormalizedPose:
+def normalize(
+    pose: Pose, intrinsics: CameraIntrinsics, cfg: NormConfig, reasons: np.ndarray | None = None
+) -> NormalizedPose:
     """Map a pose with positive depth to its normalized 9-vector form.
 
+    Batches of poses and cameras map row by row.
+
     Raises:
-        NonPositiveDepth: if pose.t.z <= 0.
+        NonPositiveDepth: if pose.t.z <= 0; given `reasons`, such rows are
+            recorded there instead (see `errors.fail_where`).
     """
-    tz = pose.t[2]
-    if tz <= 0:
-        raise NonPositiveDepth(f"pose depth {tz} is not positive")
-    tx_n = intrinsics.f * pose.t[0] / (intrinsics.w * tz)
-    ty_n = intrinsics.f * pose.t[1] / (intrinsics.h * tz)
+    tx, ty, tz = pose.t.T
+    fail_where(tz <= 0, NonPositiveDepth, reasons, "pose depth {} is not positive", tz)
+    tx_n = intrinsics.f * tx / (intrinsics.w * tz)
+    ty_n = intrinsics.f * ty / (intrinsics.h * tz)
     return NormalizedPose(pose.rot6(), tx_n, ty_n, tz - cfg.c_z)
 
 
-def denormalize(n: NormalizedPose, intrinsics: CameraIntrinsics, cfg: NormConfig) -> Pose:
+def denormalize(
+    n: NormalizedPose,
+    intrinsics: CameraIntrinsics,
+    cfg: NormConfig,
+    reasons: np.ndarray | None = None,
+) -> Pose:
     """Invert `normalize`: depth first, then in-plane translation, then rotation.
 
     Raises:
         NonPositiveDepth: if the recovered depth tz_n + c_z is not positive.
         DegenerateRotation6D: propagated from Gram-Schmidt.
+        Given `reasons`, failing rows are recorded there instead, depth first.
     """
     tz = n.tz_n + cfg.c_z
-    if tz <= 0:
-        raise NonPositiveDepth(f"recovered depth {tz} is not positive")
+    fail_where(tz <= 0, NonPositiveDepth, reasons, "recovered depth {} is not positive", tz)
     tx = (intrinsics.w * tz / intrinsics.f) * n.tx_n
     ty = (intrinsics.h * tz / intrinsics.f) * n.ty_n
-    R = gram_schmidt_6d(n.rot6)
-    return Pose(R, np.array([tx, ty, tz]))
+    R = gram_schmidt_6d(n.rot6, reasons)
+    t = np.empty(np.shape(tz) + (3,))
+    t[..., 0], t[..., 1], t[..., 2] = tx, ty, tz
+    return Pose(R, t)
 
 
 def normalize_batch(
@@ -111,22 +134,12 @@ def normalize_batch(
     h: np.ndarray,
     cfg: NormConfig,
 ) -> np.ndarray:
-    """Vectorized `normalize` over N poses; intrinsics may be scalar or (N,).
+    """`normalize` over N poses as an (N, 9) array; intrinsics may be scalar or (N,).
 
-    Returns an (N, 9) array. Depths must already be positive.
+    Raises NonPositiveDepth if any depth is not positive.
     """
-    R = np.asarray(R, dtype=float).reshape(-1, 3, 3)
-    t = np.asarray(t, dtype=float).reshape(-1, 3)
-    tz = t[:, 2]
-    if np.any(tz <= 0):
-        raise NonPositiveDepth("batch contains non-positive depths")
-    out = np.empty((R.shape[0], 9))
-    out[:, 0:3] = R[:, :, 0]
-    out[:, 3:6] = R[:, :, 1]
-    out[:, 6] = f * t[:, 0] / (w * tz)
-    out[:, 7] = f * t[:, 1] / (h * tz)
-    out[:, 8] = tz - cfg.c_z
-    return out
+    pose = Pose(np.asarray(R, dtype=float).reshape(-1, 3, 3), np.asarray(t).reshape(-1, 3))
+    return normalize(pose, CameraIntrinsics(*np.broadcast_arrays(f, w, h)), cfg).as_vector()
 
 
 def denormalize_translation_batch(

@@ -31,8 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoising import Observation, denoise, point_distance
-from .errors import InvalidConfig, InvalidIterationCount, InvalidTimestepOrder
+from .denoising import Observation, denoise, point_distance, standard_normal
+from .errors import (
+    InvalidConfig,
+    InvalidIterationCount,
+    InvalidTimestepOrder,
+    NonFiniteState,
+    fail_where,
+)
 from .forward_diffusion import FrustumBox, NoiseScales, Schedule, ddim_timesteps
 from .mononorm import NormConfig, NormalizedPose, denormalize, normalize
 from .robot_chain import ChainSpec, forward_kinematics
@@ -40,6 +46,8 @@ from .se3_camera import Pose
 
 logger = logging.getLogger(__name__)
 
+# The estimate modes, initializations and DDIM sigma forms, by name.
+MODES = ("ddim", "direct", "tracking")
 INIT_MODES = ("canonical", "prior-sample", "previous-estimate")
 SIGMA_FORMS = ("paper", "standard")
 
@@ -71,25 +79,33 @@ class ReverseConfig:
 
 @dataclass
 class TrajectoryStep:
-    """One reverse step: the pose after the step and the raw prediction.
+    """One reverse step: the pose after the step and its ADD.
 
     `timestep` labels the pose's position on the schedule: the DDIM target
     timestep for scheduled steps, counting down through negative values for
     the refinement tail (which lives past the end of the schedule).
-    `cond_t` is the timestep the denoiser was conditioned on.
+    `cond_t` is the timestep the denoiser was conditioned on. In a batch
+    run `pose` is the batch (None unless poses are recorded) and `add` has
+    one entry per row, NaN for rows aborted before the step.
     """
 
     index: int
     timestep: int
     cond_t: int
-    pose: Pose
-    prediction: Pose
-    add: float | None = None
+    pose: Pose | None
+    add: float | np.ndarray | None = None
 
 
 @dataclass
 class Trajectory:
+    """Steps of a reverse run; a batch run also names each row's abort.
+
+    `reasons` (batch runs only) holds, per row, the class name of the check
+    that aborted it, or "" for a row that ran every step.
+    """
+
     steps: list = field(default_factory=list)
+    reasons: np.ndarray | None = None
 
     def append(self, step: TrajectoryStep) -> None:
         self.steps.append(step)
@@ -181,8 +197,9 @@ def _initial_pose(
     scales: NoiseScales,
     cfg: NormConfig,
     obs: Observation,
-    rng: np.random.Generator,
+    rng,
     prev_pose: Pose | None,
+    reasons: np.ndarray | None,
 ) -> Pose:
     if rcfg.init_mode == "previous-estimate":
         if prev_pose is None:
@@ -190,10 +207,83 @@ def _initial_pose(
         return prev_pose.copy()
     if rcfg.init_mode == "prior-sample":
         box = FrustumBox.for_config(cfg, rcfg.margin)
-        n = box.clamp(rng.standard_normal(9) * scales.as_vector())
-        return denormalize(NormalizedPose.from_vector(n), obs.intrinsics, cfg)
+        n = box.clamp(standard_normal(rng) * scales.as_vector())
+        return denormalize(NormalizedPose.from_vector(n), obs.intrinsics, cfg, reasons)
     R = np.eye(3) if rcfg.canonical_rotation is None else np.asarray(rcfg.canonical_rotation)
-    return Pose(R.copy(), np.array([0.0, 0.0, cfg.c_z]))
+    t = np.array([0.0, 0.0, cfg.c_z])
+    batch = obs.gt_pose.t.shape[:-1]
+    return Pose(np.broadcast_to(R, batch + (3, 3)).copy(), np.broadcast_to(t, batch + (3,)).copy())
+
+
+def _lockstep(
+    plan: list[tuple[int, int, int | None]],
+    obs: Observation,
+    sched: Schedule,
+    scales: NoiseScales,
+    cfg: NormConfig,
+    rcfg: ReverseConfig,
+    oracle,
+    rng,
+    prev_pose: Pose | None,
+    keypoints: np.ndarray,
+    record_poses: bool,
+) -> tuple[Pose, Trajectory]:
+    """Run every row of `obs` through `plan`, one step at a time.
+
+    Each plan entry is (timestep label, conditioning timestep, DDIM target);
+    a target of None is a direct jump to the denoiser's prediction. A single
+    observation runs unbatched and raises at the first failing check. A
+    batch records each row's first failing check in `Trajectory.reasons`,
+    freezes that row and advances the others; rows aborted at the initial
+    pose never run.
+    """
+    batched = obs.gt_pose.t.ndim == 2
+    reasons = np.full(obs.gt_pose.t.shape[0], "", dtype=object) if batched else None
+    traj = Trajectory(reasons=reasons)
+    with np.errstate(all="ignore"):
+        pose = _initial_pose(rcfg, scales, cfg, obs, rng, prev_pose, reasons)
+        for index, (label, t, t_prev) in enumerate(plan):
+            if batched:
+                live = np.flatnonzero(reasons == "")
+                if live.size == 0:
+                    break
+                if live.size == len(reasons):
+                    rows, p, o, kp, r, g = slice(None), pose, obs, keypoints, reasons, rng
+                else:
+                    rows, p, o, kp, r = live, pose[live], obs[live], keypoints[live], reasons[live]
+                    g = [rng[i] for i in live]
+            else:
+                p, o, kp, r, g = pose, obs, keypoints, None, rng
+
+            if t_prev is None:
+                new = denoise(p, t, o, oracle, g, r)
+            else:
+                n_t = normalize(p, o.intrinsics, cfg, r)
+                prediction = denoise(p, t, o, oracle, g, r)
+                n0_hat = normalize(prediction, o.intrinsics, cfg, r)
+                n_prev = ddim_step(n_t, n0_hat, t, t_prev, sched, rcfg.eta, rcfg.sigma_form)
+                new = denormalize(n_prev, o.intrinsics, cfg, r)
+            # A pose with a NaN or an infinity, or one so far out that its ADD
+            # overflows, has a non-finite ADD.
+            add = point_distance(o.gt_pose, new, kp)
+            fail_where(~np.isfinite(add), NonFiniteState, r, "pose not finite after step {}", index)
+
+            if batched:
+                pose.R[rows], pose.t[rows], reasons[rows] = new.R, new.t, r
+                adds = np.full(len(reasons), np.nan)
+                adds[rows] = add
+                add = adds
+            else:
+                pose = new
+            recorded = pose.copy() if record_poses else None
+            traj.append(TrajectoryStep(index, label, t, recorded, add))
+    return pose, traj
+
+
+def _keypoints(chain: ChainSpec, obs: Observation) -> np.ndarray:
+    if isinstance(obs.joints, list):
+        return np.stack([forward_kinematics(chain, j) for j in obs.joints])
+    return forward_kinematics(chain, obs.joints)
 
 
 def run_reverse(
@@ -204,55 +294,32 @@ def run_reverse(
     cfg: NormConfig,
     rcfg: ReverseConfig,
     oracle,
-    rng: np.random.Generator,
+    rng,
     prev_pose: Pose | None = None,
     keypoints: np.ndarray | None = None,
+    record_poses: bool = True,
 ) -> tuple[Pose, Trajectory]:
     """Full scheduled estimation: DDIM sweep plus direct refinement tail.
 
     Per-step ADD against the observation's ground truth is recorded in the
     trajectory; pass precomputed `keypoints` to skip the forward-kinematics
-    call. Degenerate rotations or non-positive depths inside the loop
-    propagate to the caller, which is expected to record the aborted
-    scenario rather than hide it.
+    call. For a single observation, degenerate rotations, non-positive
+    depths or a non-finite pose inside the loop propagate to the caller,
+    which is expected to record the aborted scenario rather than hide it.
+
+    For a batch observation (`Observation.stack`), `rng` holds one
+    generator per row, `prev_pose` and `keypoints` are batched, and all rows
+    advance in lockstep; `Trajectory.reasons` names the rows that aborted.
+    `record_poses=False` leaves the per-step poses out of the trajectory.
     """
     if keypoints is None:
-        keypoints = forward_kinematics(chain, obs.joints)
-    pose = _initial_pose(rcfg, scales, cfg, obs, rng, prev_pose)
-    traj = Trajectory()
-
+        keypoints = _keypoints(chain, obs)
     ts = ddim_timesteps(sched.T, rcfg.ddim_steps)
-    targets = ts[1:] + [0]
-    for i, (t, t_prev) in enumerate(zip(ts, targets)):
-        n_t = normalize(pose, obs.intrinsics, cfg)
-        prediction = denoise(pose, t, obs, oracle, rng)
-        n0_hat = normalize(prediction, obs.intrinsics, cfg)
-        n_prev = ddim_step(n_t, n0_hat, t, t_prev, sched, rcfg.eta, rcfg.sigma_form)
-        pose = denormalize(n_prev, obs.intrinsics, cfg)
-        traj.append(
-            TrajectoryStep(
-                index=i,
-                timestep=t_prev,
-                cond_t=t,
-                pose=pose.copy(),
-                prediction=prediction,
-                add=point_distance(obs.gt_pose, pose, keypoints),
-            )
-        )
-
-    for k in range(1, rcfg.refine_steps + 1):
-        pose = denoise(pose, 1, obs, oracle, rng)
-        traj.append(
-            TrajectoryStep(
-                index=rcfg.ddim_steps + k - 1,
-                timestep=-k,
-                cond_t=1,
-                pose=pose.copy(),
-                prediction=pose.copy(),
-                add=point_distance(obs.gt_pose, pose, keypoints),
-            )
-        )
-    return pose, traj
+    plan = [(t_prev, t, t_prev) for t, t_prev in zip(ts, ts[1:] + [0])]
+    plan += [(-k, 1, None) for k in range(1, rcfg.refine_steps + 1)]
+    return _lockstep(
+        plan, obs, sched, scales, cfg, rcfg, oracle, rng, prev_pose, keypoints, record_poses
+    )
 
 
 def run_direct_regression(
@@ -263,16 +330,18 @@ def run_direct_regression(
     cfg: NormConfig,
     iterations: int,
     oracle,
-    rng: np.random.Generator,
+    rng,
     init_mode: str = "canonical",
     prev_pose: Pose | None = None,
     canonical_rotation: np.ndarray | None = None,
     keypoints: np.ndarray | None = None,
+    record_poses: bool = True,
 ) -> tuple[Pose, Trajectory]:
     """Unscheduled baseline: `iterations` full jumps to the denoiser prediction.
 
     Every call is conditioned at t=1 (no timestep awareness). Trajectory
-    timesteps count down from iterations-1 to 0.
+    timesteps count down from iterations-1 to 0. Batches and aborts work as
+    in `run_reverse`.
 
     Raises:
         InvalidIterationCount: if iterations < 1.
@@ -281,19 +350,8 @@ def run_direct_regression(
         raise InvalidIterationCount(f"iterations must be >= 1, got {iterations}")
     rcfg = ReverseConfig(init_mode=init_mode, canonical_rotation=canonical_rotation)
     if keypoints is None:
-        keypoints = forward_kinematics(chain, obs.joints)
-    pose = _initial_pose(rcfg, scales, cfg, obs, rng, prev_pose)
-    traj = Trajectory()
-    for k in range(iterations):
-        pose = denoise(pose, 1, obs, oracle, rng)
-        traj.append(
-            TrajectoryStep(
-                index=k,
-                timestep=iterations - 1 - k,
-                cond_t=1,
-                pose=pose.copy(),
-                prediction=pose.copy(),
-                add=point_distance(obs.gt_pose, pose, keypoints),
-            )
-        )
-    return pose, traj
+        keypoints = _keypoints(chain, obs)
+    plan = [(iterations - 1 - k, 1, None) for k in range(iterations)]
+    return _lockstep(
+        plan, obs, sched, scales, cfg, rcfg, oracle, rng, prev_pose, keypoints, record_poses
+    )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateRotation6D, EmptyPointSet
+from .errors import BehindCamera, DegenerateRotation6D, EmptyPointSet, fail_where
 
 # Norm below which a 6D rotation input is treated as degenerate.
 GS_EPS = 1e-8
@@ -35,24 +35,38 @@ FRUSTUM_TOL = 1e-6
 
 @dataclass
 class Pose:
-    """Rigid transform: 3x3 orientation `R` plus translation `t` in meters."""
+    """Rigid transform: 3x3 orientation `R` plus translation `t` in meters.
+
+    A batch of N poses carries a leading axis: `R` is (N, 3, 3) and `t` is
+    (N, 3). The pose-level functions of the reverse process accept either
+    form; `matrix`, `rotation_error` and `validate` take a single pose.
+    """
 
     R: np.ndarray
     t: np.ndarray
 
     def __post_init__(self):
         self.R = np.asarray(self.R, dtype=float)
-        self.t = np.asarray(self.t, dtype=float).reshape(3)
-        if self.R.shape != (3, 3):
-            raise ValueError(f"R must be 3x3, got {self.R.shape}")
+        if self.R.shape[-2:] != (3, 3) or self.R.ndim > 3:
+            raise ValueError(f"R must be 3x3 or a batch of 3x3, got {self.R.shape}")
+        self.t = np.asarray(self.t, dtype=float).reshape(self.R.shape[:-2] + (3,))
 
     @classmethod
     def identity(cls, depth: float = 1.5) -> "Pose":
         return cls(np.eye(3), np.array([0.0, 0.0, depth]))
 
+    @classmethod
+    def stack(cls, poses) -> "Pose":
+        """One batch from a sequence of single poses."""
+        return cls(np.stack([p.R for p in poses]), np.stack([p.t for p in poses]))
+
+    def __getitem__(self, rows) -> "Pose":
+        """The poses of the selected batch rows."""
+        return Pose(self.R[rows], self.t[rows])
+
     def rot6(self) -> np.ndarray:
         """First two columns of R, concatenated into a length-6 vector."""
-        return np.concatenate([self.R[:, 0], self.R[:, 1]])
+        return np.concatenate([self.R[..., 0], self.R[..., 1]], axis=-1)
 
     def matrix(self) -> np.ndarray:
         """4x4 homogeneous matrix [[R, t], [0, 1]]."""
@@ -62,9 +76,12 @@ class Pose:
         return H
 
     def transform(self, points: np.ndarray) -> np.ndarray:
-        """Apply the transform to an (N, 3) array of points."""
+        """Apply the transform to (K, 3) points; a batch gives (N, K, 3).
+
+        A batch takes either one shared (K, 3) point set or (N, K, 3).
+        """
         pts = np.asarray(points, dtype=float)
-        return pts @ self.R.T + self.t
+        return pts @ self.R.swapaxes(-1, -2) + self.t[..., None, :]
 
     def rotation_error(self) -> float:
         """Max deviation of R from SO(3): orthonormality plus determinant."""
@@ -85,7 +102,7 @@ class CameraIntrinsics:
     """Pinhole intrinsics: focal length and image size in pixels.
 
     A single focal length is used for both axes. cx/cy default to the
-    image center.
+    image center. For a batch of N cameras every field is an (N,) array.
     """
 
     f: float
@@ -95,12 +112,27 @@ class CameraIntrinsics:
     cy: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.f <= 0 or self.w <= 0 or self.h <= 0:
+        fields = (self.f, self.w, self.h)
+        if not all(np.all(v > 0) if isinstance(v, np.ndarray) else v > 0 for v in fields):
             raise ValueError("f, w, h must all be positive")
         if self.cx is None:
             self.cx = self.w / 2.0
         if self.cy is None:
             self.cy = self.h / 2.0
+
+    @classmethod
+    def stack(cls, cameras) -> "CameraIntrinsics":
+        """One batch of (N,) fields from a sequence of single cameras."""
+        f, w, h, cx, cy = (
+            np.array([getattr(k, name) for k in cameras]) for name in ("f", "w", "h", "cx", "cy")
+        )
+        return cls(f, w, h, cx, cy)
+
+    def __getitem__(self, rows) -> "CameraIntrinsics":
+        """The cameras of the selected batch rows."""
+        return CameraIntrinsics(
+            self.f[rows], self.w[rows], self.h[rows], self.cx[rows], self.cy[rows]
+        )
 
     def matrix(self) -> np.ndarray:
         return np.array(
@@ -134,7 +166,7 @@ class CropRect:
         return bool(np.all(inside_u & inside_v))
 
 
-def gram_schmidt_6d(r6: np.ndarray) -> np.ndarray:
+def gram_schmidt_6d(r6: np.ndarray, reasons: np.ndarray | None = None) -> np.ndarray:
     """Orthogonalize a 6D rotation representation into an SO(3) matrix.
 
     Accepts shape (..., 6); returns (..., 3, 3). The first three entries are
@@ -146,28 +178,38 @@ def gram_schmidt_6d(r6: np.ndarray) -> np.ndarray:
 
     Raises:
         DegenerateRotation6D: if ||r1|| < GS_EPS or the component of r2
-            orthogonal to r1 has norm < GS_EPS anywhere in the batch.
+            orthogonal to r1 has norm < GS_EPS anywhere in the batch. Given a
+            per-row `reasons` array (see `errors.fail_where`), degenerate
+            rows are recorded there instead and come back non-finite or
+            arbitrary; call under np.errstate to silence their warnings.
     """
     r6 = np.asarray(r6, dtype=float)
     if r6.shape[-1] != 6:
         raise ValueError(f"expected trailing dimension 6, got {r6.shape}")
-    r1 = r6[..., :3]
-    r2 = r6[..., 3:]
+    # Components along the last axis: scalars for one vector, arrays for a
+    # batch. With at most two axes, r6.T moves that axis first at no cost.
+    a0, a1, a2, b0, b1, b2 = r6.T if r6.ndim <= 2 else np.moveaxis(r6, -1, 0)
+    R = np.empty(r6.shape[:-1] + (3, 3))
+    n1 = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    fail_where(n1 < GS_EPS, DegenerateRotation6D, reasons, "first column norm below threshold")
+    u0, u1, u2 = a0 / n1, a1 / n1, a2 / n1
 
-    n1 = np.linalg.norm(r1, axis=-1, keepdims=True)
-    if np.any(n1 < GS_EPS):
-        raise DegenerateRotation6D("first column norm below threshold")
-    u1 = r1 / n1
+    dot = b0 * u0 + b1 * u1 + b2 * u2
+    v0, v1, v2 = b0 - dot * u0, b1 - dot * u1, b2 - dot * u2
+    n2 = np.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    fail_where(
+        n2 < GS_EPS, DegenerateRotation6D, reasons, "second column is collinear with the first"
+    )
+    w0, w1, w2 = v0 / n2, v1 / n2, v2 / n2
 
-    dot = np.sum(r2 * u1, axis=-1, keepdims=True)
-    v2 = r2 - dot * u1
-    n2 = np.linalg.norm(v2, axis=-1, keepdims=True)
-    if np.any(n2 < GS_EPS):
-        raise DegenerateRotation6D("second column is collinear with the first")
-    u2 = v2 / n2
-
-    u3 = np.cross(u1, u2)
-    return np.stack([u1, u2, u3], axis=-1)
+    R[..., 0, 0], R[..., 1, 0], R[..., 2, 0] = u0, u1, u2
+    R[..., 0, 1], R[..., 1, 1], R[..., 2, 1] = w0, w1, w2
+    # Third column u x w, written out: np.cross on short vectors costs more
+    # than the whole orthogonalization.
+    R[..., 0, 2] = u1 * w2 - u2 * w1
+    R[..., 1, 2] = u2 * w0 - u0 * w2
+    R[..., 2, 2] = u0 * w1 - u1 * w0
+    return R
 
 
 def project_point(p: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:

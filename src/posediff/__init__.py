@@ -16,12 +16,10 @@ from .denoising import (
     NoisyOracle,
     Observation,
     PerfectOracle,
-    TimestepEmbedding,
     apply_update,
     compute_gt_targets,
     decomposed_loss,
     denoise,
-    embed_timestep,
     parse_denoiser,
     point_distance,
 )
@@ -59,9 +57,7 @@ from .reverse import (
 from .robot_chain import ChainSpec, JointConfig, forward_kinematics, sample_points
 from .se3_camera import (
     CameraIntrinsics,
-    CropRect,
     Pose,
-    crop_region,
     gram_schmidt_6d,
     in_frustum,
     project_point,

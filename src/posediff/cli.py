@@ -26,7 +26,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import logging
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .denoising import Observation, decomposed_loss, parse_denoiser, parse_denoiser_spec
-from .errors import ABORTS, InvalidConfig, PoseDiffError
+from .errors import InvalidConfig, PoseDiffError
 from .forward_diffusion import (
     FrustumBox,
     NoiseScales,
@@ -55,7 +54,7 @@ from .metrics import (
     make_observation,
     scenario_rng,
 )
-from .mononorm import NormConfig, normalize
+from .mononorm import NormalizedPose, NormConfig, denormalize, normalize
 from .reverse import (
     INIT_MODES,
     MODES,
@@ -65,8 +64,7 @@ from .reverse import (
     run_reverse,
 )
 from .robot_chain import ChainSpec, forward_kinematics, sample_points
-
-logger = logging.getLogger(__name__)
+from .se3_camera import in_frustum
 
 RNG_SCHEME = "numpy default_rng seeded with [seed, scenario_index, stream]"
 
@@ -102,7 +100,6 @@ class RunConfig:
     timesteps: str = "1,25,50,75,100"
     draws: int = 1
     per_link: int = 9
-    obs_noise: float = 0.0
     chain: str | None = None
     out: str = "run"
     trajectories: str | None = None
@@ -128,7 +125,6 @@ class RunConfig:
             (self.scenarios >= 1, "scenarios", "must be >= 1"),
             (self.draws >= 1, "draws", "must be >= 1"),
             (self.per_link >= 1, "per_link", "must be >= 1"),
-            (self.obs_noise >= 0, "obs_noise", "must be >= 0"),
             (self.workers >= 1, "workers", "must be >= 1"),
             (self.competence > 0, "competence", "must be positive"),
         ]
@@ -156,9 +152,7 @@ class RunConfig:
 
 def _build_world(cfg: RunConfig):
     """Shared wiring: schedule, normalization, scales, box, chain, oracle."""
-    sched = make_linear_schedule(
-        cfg.steps, cfg.beta_start, cfg.beta_end, eta=cfg.eta, ddim_steps=cfg.ddim_steps
-    )
+    sched = make_linear_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
     norm = NormConfig(c_z=cfg.cz, z_min=cfg.z_min, z_max=cfg.z_max)
     scales = NoiseScales.for_config(norm, gamma=cfg.gamma)
     box = FrustumBox.for_config(norm, margin=cfg.margin)
@@ -227,7 +221,7 @@ def cmd_schedule(cfg: RunConfig) -> int:
 def cmd_diffuse(cfg: RunConfig) -> int:
     sched, norm, scales, box, chain, _ = _build_world(cfg)
     ts = cfg.parse_timesteps()
-    ranges = ScenarioRanges(margin=cfg.margin, obs_noise_px=cfg.obs_noise)
+    ranges = ScenarioRanges(margin=cfg.margin)
     scen = generate_scenarios(cfg.seed, cfg.scenarios, ranges, chain, norm)
 
     def one(sc):
@@ -235,27 +229,22 @@ def cmd_diffuse(cfg: RunConfig) -> int:
         K = sc.intrinsics
         n0 = normalize(sc.gt_pose, K, norm).as_vector()
         eps = rng.standard_normal((len(ts), 9))
-        rows = []
-        samples = []
-        for j, t in enumerate(ts):
-            n_t = diffuse_normalized(n0, t, sched, scales, eps[j], box if cfg.clamp else None)
-            # Translation suffices for the frustum check; skip the rotation
-            # orthogonalization in this hot path.
-            tz = n_t[8] + norm.c_z
-            if tz <= 0:
-                ok, u, v = False, float("nan"), float("nan")
-            else:
-                u = K.w * n_t[6] + K.cx
-                v = K.h * n_t[7] + K.cy
-                tol = 1e-6
-                ok = (
-                    cfg.margin * K.w - tol <= u <= (1 - cfg.margin) * K.w + tol
-                    and cfg.margin * K.h - tol <= v <= (1 - cfg.margin) * K.h + tol
-                    and norm.z_min - 1e-9 <= tz <= norm.z_max + 1e-9
-                )
-            rows.append((sc.index, t, int(ok), n_t[6], n_t[7], n_t[8], u, v))
-            samples.append((t, ok, n_t))
-        return rows, samples
+        n = np.array([
+            diffuse_normalized(n0, t, sched, scales, eps[j], box if cfg.clamp else None)
+            for j, t in enumerate(ts)
+        ])
+        # Rows behind the camera are recorded in `reasons` instead of raising;
+        # in_frustum counts them as outside.
+        reasons = np.full(len(ts), "", dtype=object)
+        pose = denormalize(NormalizedPose.from_vector(n), K, norm, reasons)
+        inside = in_frustum(pose, K, cfg.margin, (norm.z_min, norm.z_max))
+        behind = pose.t[:, 2] <= 0
+        u = np.where(behind, np.nan, K.w * n[:, 6] + K.cx)
+        v = np.where(behind, np.nan, K.h * n[:, 7] + K.cy)
+        # Rows of Python floats, which print as the numpy values do, only faster.
+        cols = zip(ts, inside.tolist(), n[:, 6:].tolist(), u.tolist(), v.tolist())
+        rows = [(sc.index, t, int(ok), *tn, uj, vj) for t, ok, tn, uj, vj in cols]
+        return rows, list(zip(ts, inside, n))
 
     results = _run_pool(one, scen.scenarios, cfg.workers)
     all_rows = [row for rows, _ in results for row in rows]
@@ -325,24 +314,24 @@ def _estimate_reverse_config(cfg: RunConfig) -> ReverseConfig:
     )
 
 
-def _scenario_rows(cfg: RunConfig, index: int, add: float, reason: str, traj=None, row=None):
+def _scenario_rows(cfg: RunConfig, index: int, add: float, reason: str, traj, row: int):
     """The estimate CSV row of one scenario and its trajectory CSV rows.
 
-    `traj` is the scenario's own trajectory, or a batch trajectory with the
-    scenario in `row`. An aborted scenario has no trajectory rows.
+    The scenario is row `row` of the batch trajectory `traj`. An aborted
+    scenario has no trajectory rows.
     """
     if reason:
         return (index, float("inf"), 0, cfg.mode, 1, reason), []
     steps = []
     if cfg.trajectories:
         for s in traj.steps:
-            R, t = (s.pose.R, s.pose.t) if row is None else (s.pose.R[row], s.pose.t[row])
+            R, t = s.pose.R[row], s.pose.t[row]
             steps.append(
                 (index, s.index, s.timestep, s.cond_t,
                  R[0, 0], R[0, 1], R[0, 2], t[0],
                  R[1, 0], R[1, 1], R[1, 2], t[1],
                  R[2, 0], R[2, 1], R[2, 2], t[2],
-                 s.add if row is None else s.add[row])
+                 s.add[row])
             )
     return (index, add, len(traj), cfg.mode, 0, ""), steps
 
@@ -350,47 +339,25 @@ def _scenario_rows(cfg: RunConfig, index: int, add: float, reason: str, traj=Non
 def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios: list) -> list:
     """Run one chunk of scenarios as a single lockstep batch.
 
-    Returns `_scenario_rows` for each scenario, in order.
+    Returns `_scenario_rows` for each scenario, in order. Aborts are rows of
+    the batch, so an exception here is a fault of the run and propagates.
     """
     sched, norm, scales, _, chain, oracle = world
     record = bool(cfg.trajectories)
-
-    def run(obs, rng, keypoints):
-        if cfg.mode == "direct":
-            return run_direct_regression(
-                obs, chain, sched, scales, norm, cfg.ddim_steps + cfg.refine_steps, oracle, rng,
-                init_mode=cfg.init, keypoints=keypoints, record_poses=record,
-            )
-        return run_reverse(
-            obs, chain, sched, scales, norm, rcfg, oracle, rng,
-            prev_pose=obs.gt_pose if cfg.mode == "tracking" else None,
-            keypoints=keypoints, record_poses=record,
-        )
-
-    observations = [make_observation(sc, chain, cfg.seed) for sc in scenarios]
+    batch = Observation.stack([make_observation(sc, chain, cfg.seed) for sc in scenarios])
     rngs = [scenario_rng(cfg.seed, sc.index, STREAM_ESTIMATE) for sc in scenarios]
     keypoints = np.stack([forward_kinematics(chain, sc.joints) for sc in scenarios])
-    batch = Observation.stack(observations)
-    try:
-        final, traj = run(batch, rngs, keypoints)
-    except Exception:
-        # A batch run records row aborts rather than raising them, so this is
-        # a fault of the run itself: rerun the chunk one scenario at a time
-        # to record aborts per scenario and let any other error name its own.
-        logger.warning(
-            "lockstep run of scenarios %d-%d failed; rerunning them one at a time",
-            scenarios[0].index, scenarios[-1].index, exc_info=True,
+    if cfg.mode == "direct":
+        final, traj = run_direct_regression(
+            batch, chain, sched, scales, norm, cfg.ddim_steps + cfg.refine_steps, oracle, rngs,
+            init_mode=cfg.init, keypoints=keypoints, record_poses=record,
         )
-        results = []
-        for sc, obs, kp in zip(scenarios, observations, keypoints):
-            try:
-                final, traj = run(obs, scenario_rng(cfg.seed, sc.index, STREAM_ESTIMATE), kp)
-            except ABORTS as exc:
-                results.append(_scenario_rows(cfg, sc.index, float("inf"), type(exc).__name__))
-                continue
-            add = add_metric(sc.gt_pose, final, kp)
-            results.append(_scenario_rows(cfg, sc.index, add, "", traj))
-        return results
+    else:
+        final, traj = run_reverse(
+            batch, chain, sched, scales, norm, rcfg, oracle, rngs,
+            prev_pose=batch.gt_pose if cfg.mode == "tracking" else None,
+            keypoints=keypoints, record_poses=record,
+        )
     done = traj.reasons == ""
     adds = np.full(len(scenarios), np.inf)
     adds[done] = add_metric(batch.gt_pose[done], final[done], keypoints[done])
@@ -403,7 +370,7 @@ def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios
 def cmd_estimate(cfg: RunConfig) -> int:
     world = _build_world(cfg)
     _, norm, _, _, chain, _ = world
-    ranges = ScenarioRanges(margin=cfg.margin, obs_noise_px=cfg.obs_noise)
+    ranges = ScenarioRanges(margin=cfg.margin)
     scen = generate_scenarios(cfg.seed, cfg.scenarios, ranges, chain, norm)
     rcfg = _estimate_reverse_config(cfg)
 
@@ -465,7 +432,7 @@ def cmd_trainsim(cfg: RunConfig) -> int:
     from .forward_diffusion import diffuse
 
     sched, norm, scales, box, chain, oracle = _build_world(cfg)
-    ranges = ScenarioRanges(margin=cfg.margin, obs_noise_px=cfg.obs_noise)
+    ranges = ScenarioRanges(margin=cfg.margin)
     scen = generate_scenarios(cfg.seed, cfg.scenarios, ranges, chain, norm)
 
     def one(sc):
@@ -551,7 +518,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timesteps", help='comma list for diffuse, or "all"')
     p.add_argument("--draws", type=int, help="trainsim draws per scenario")
     p.add_argument("--per-link", type=int, dest="per_link")
-    p.add_argument("--obs-noise", type=float, dest="obs_noise", help="keypoint noise, pixels")
     p.add_argument("--chain", help="ChainSpec JSON file")
     p.add_argument("--out", help="output path prefix (default 'run')")
     p.add_argument("--trajectories", help="also write per-step trajectory CSV here")

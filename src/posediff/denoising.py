@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPointSet, InvalidConfig, NonPositiveDepth, OddEmbeddingSize, fail_where
+from .errors import EmptyPointSet, InvalidConfig, NonPositiveDepth, fail_where
 from .forward_diffusion import NoiseScales, Schedule
 from .mononorm import NormConfig, normalize
 from .robot_chain import JointConfig
@@ -83,7 +83,7 @@ class Observation:
     """Everything an estimation run may condition on for one scenario.
 
     Stands in for the image: ground truth (visible only to oracles), the
-    camera, the joint configuration, and optionally noisy 2D keypoints.
+    camera, the joint configuration, and the projected 2D keypoints.
     Keypoints behind the camera are stored as NaN rows.
 
     A batch (`Observation.stack`) holds a batched `gt_pose` and `intrinsics`
@@ -117,35 +117,6 @@ def standard_normal(rng) -> np.ndarray:
     if isinstance(rng, np.random.Generator):
         return rng.standard_normal(9)
     return np.array([g.standard_normal(9) for g in rng]).reshape(-1, 9)
-
-
-@dataclass
-class TimestepEmbedding:
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(-1)
-
-
-def embed_timestep(t: int, c_emb: int = 4) -> TimestepEmbedding:
-    """Sinusoidal embedding: (sin, cos) pairs at geometrically spaced frequencies.
-
-    values[2i] = sin(t / 10000^(2i/c_emb)), values[2i+1] the matching cosine.
-
-    Raises:
-        OddEmbeddingSize: if c_emb is odd.
-        ValueError: if t < 0.
-    """
-    if c_emb % 2 != 0 or c_emb < 2:
-        raise OddEmbeddingSize(f"embedding size must be a positive even number, got {c_emb}")
-    if t < 0:
-        raise ValueError(f"timestep must be non-negative, got {t}")
-    i = np.arange(c_emb // 2)
-    phase = t / np.power(10000.0, 2.0 * i / c_emb)
-    values = np.empty(c_emb)
-    values[0::2] = np.sin(phase)
-    values[1::2] = np.cos(phase)
-    return TimestepEmbedding(values)
 
 
 def apply_update(

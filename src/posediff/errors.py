@@ -40,10 +40,6 @@ class InvalidScheduleParams(PoseDiffError):
     """Noise-schedule parameters violate their constraints."""
 
 
-class OddEmbeddingSize(PoseDiffError):
-    """Sinusoidal embedding size must be even."""
-
-
 class DimensionMismatch(PoseDiffError):
     """Array size does not match the expected dimension."""
 

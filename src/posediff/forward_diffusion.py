@@ -29,18 +29,16 @@ from .se3_camera import CameraIntrinsics, Pose
 
 @dataclass
 class Schedule:
-    """Precomputed beta / alpha_bar sequences plus DDIM defaults.
+    """Precomputed beta / alpha_bar sequences.
 
     `beta[i]` is the noise coefficient for timestep t = i + 1;
     `alpha_bar[t]` is the cumulative product for timestep t, with
-    alpha_bar[0] = 1. `eta` and `ddim_steps` carry the sampler defaults.
+    alpha_bar[0] = 1.
     """
 
     T: int
     beta: np.ndarray
     alpha_bar: np.ndarray
-    eta: float = 1.0
-    ddim_steps: int = 5
 
     def alpha_bar_at(self, t: int) -> float:
         return float(self.alpha_bar[t])
@@ -59,8 +57,6 @@ def make_linear_schedule(
     T: int = 100,
     beta_start: float = 1e-4,
     beta_end: float = 0.02,
-    eta: float = 1.0,
-    ddim_steps: int = 5,
 ) -> Schedule:
     """Linear beta schedule with alpha_bar[t] = prod_{s<=t} (1 - beta_s).
 
@@ -78,7 +74,7 @@ def make_linear_schedule(
     else:
         beta = np.linspace(beta_start, beta_end, T)
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
-    return Schedule(T=T, beta=beta, alpha_bar=alpha_bar, eta=eta, ddim_steps=ddim_steps)
+    return Schedule(T=T, beta=beta, alpha_bar=alpha_bar)
 
 
 def ddim_timesteps(T: int, n: int) -> list[int]:

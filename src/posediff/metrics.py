@@ -31,7 +31,6 @@ STREAM_SCENARIO = 0
 STREAM_ESTIMATE = 1
 STREAM_DIFFUSE = 2
 STREAM_TRAINSIM = 3
-STREAM_OBSERVATION = 4
 
 
 def scenario_rng(seed: int, index: int, stream: int) -> np.random.Generator:
@@ -96,7 +95,6 @@ class ScenarioRanges:
     image_sizes: tuple = ((640, 480), (1280, 720))
     margin: float = 0.05
     joint_limit: float = np.pi
-    obs_noise_px: float = 0.0
 
     def __post_init__(self):
         if not (0 < self.f_range[0] <= self.f_range[1]):
@@ -107,8 +105,6 @@ class ScenarioRanges:
             raise InvalidRange(f"margin must be in [0, 0.5), got {self.margin}")
         if self.joint_limit <= 0:
             raise InvalidRange("joint_limit must be positive")
-        if self.obs_noise_px < 0:
-            raise InvalidRange("obs_noise_px must be >= 0")
 
 
 @dataclass
@@ -117,7 +113,6 @@ class Scenario:
     intrinsics: CameraIntrinsics
     joints: JointConfig
     gt_pose: Pose
-    obs_noise_px: float = 0.0
 
 
 @dataclass
@@ -174,23 +169,16 @@ def generate_scenarios(
                 break
             except DegenerateRotation6D:
                 continue
-        scenarios.append(
-            Scenario(
-                index=i,
-                intrinsics=intrinsics,
-                joints=joints,
-                gt_pose=gt,
-                obs_noise_px=ranges.obs_noise_px,
-            )
-        )
+        scenarios.append(Scenario(index=i, intrinsics=intrinsics, joints=joints, gt_pose=gt))
     return ScenarioSet(seed=seed, count=count, scenarios=scenarios)
 
 
 def make_observation(scenario: Scenario, chain: ChainSpec, seed: int) -> Observation:
-    """Observation for one scenario, with projected (optionally noisy) keypoints.
+    """Observation for one scenario, with its projected keypoints.
 
     Keypoints that fall behind the camera project to NaN rows; the robot
-    base itself is always in front by construction.
+    base itself is always in front by construction. An observation draws
+    no random numbers, so `seed` does not change it.
     """
     keypoints = forward_kinematics(chain, scenario.joints)
     cam_pts = scenario.gt_pose.transform(keypoints)
@@ -199,9 +187,6 @@ def make_observation(scenario: Scenario, chain: ChainSpec, seed: int) -> Observa
     visible = cam_pts[:, 2] > 0
     uv[visible, 0] = K.f * cam_pts[visible, 0] / cam_pts[visible, 2] + K.cx
     uv[visible, 1] = K.f * cam_pts[visible, 1] / cam_pts[visible, 2] + K.cy
-    if scenario.obs_noise_px > 0:
-        rng = scenario_rng(seed, scenario.index, STREAM_OBSERVATION)
-        uv[visible] += scenario.obs_noise_px * rng.standard_normal((int(visible.sum()), 2))
     return Observation(
         gt_pose=scenario.gt_pose,
         intrinsics=K,

@@ -10,8 +10,8 @@ where r1, r2 are the first two columns of R and
     ty_n = f * t.y / (h * t.z)        # in-plane y, unitless
     tz_n = t.z - c_z                  # depth offset, meters
 
-With a centered principal point, tx_n equals the projected point's
-fractional horizontal offset from the image center, so the translation
+The principal point is the image center, so tx_n equals the projected
+point's fractional horizontal offset from it, and the translation
 projects inside the image exactly when tx_n and ty_n lie in [-0.5, 0.5].
 This makes the parameterization invariant to focal length and image size:
 the same normalized value means the same relative image position on any
@@ -125,42 +125,3 @@ def denormalize(
     t[..., 0], t[..., 1], t[..., 2] = tx, ty, tz
     return Pose(R, t)
 
-
-def normalize_batch(
-    R: np.ndarray,
-    t: np.ndarray,
-    f: np.ndarray,
-    w: np.ndarray,
-    h: np.ndarray,
-    cfg: NormConfig,
-) -> np.ndarray:
-    """`normalize` over N poses as an (N, 9) array; intrinsics may be scalar or (N,).
-
-    Raises NonPositiveDepth if any depth is not positive.
-    """
-    pose = Pose(np.asarray(R, dtype=float).reshape(-1, 3, 3), np.asarray(t).reshape(-1, 3))
-    return normalize(pose, CameraIntrinsics(*np.broadcast_arrays(f, w, h)), cfg).as_vector()
-
-
-def denormalize_translation_batch(
-    n: np.ndarray,
-    f: np.ndarray,
-    w: np.ndarray,
-    h: np.ndarray,
-    cfg: NormConfig,
-) -> np.ndarray:
-    """Vectorized translation recovery from (N, 9) normalized vectors.
-
-    Rotation columns are ignored; use `gram_schmidt_6d` on n[:, :6] when the
-    orientation is needed. Raises NonPositiveDepth if any recovered depth
-    is not positive.
-    """
-    n = np.asarray(n, dtype=float).reshape(-1, 9)
-    tz = n[:, 8] + cfg.c_z
-    if np.any(tz <= 0):
-        raise NonPositiveDepth("batch contains non-positive recovered depths")
-    t = np.empty((n.shape[0], 3))
-    t[:, 0] = (w * tz / f) * n[:, 6]
-    t[:, 1] = (h * tz / f) * n[:, 7]
-    t[:, 2] = tz
-    return t

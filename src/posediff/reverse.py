@@ -62,7 +62,6 @@ class ReverseConfig:
     init_mode: str = "canonical"
     sigma_form: str = "paper"
     margin: float = 0.05
-    canonical_rotation: np.ndarray | None = None
 
     def __post_init__(self):
         if self.ddim_steps < 1:
@@ -165,7 +164,7 @@ def ddim_step(
     t: int,
     t_prev: int,
     sched: Schedule,
-    eta: float | None = None,
+    eta: float = 1.0,
     sigma_form: str = "paper",
 ) -> NormalizedPose:
     """Deterministic DDIM update of the normalized pose from t to t_prev.
@@ -175,7 +174,6 @@ def ddim_step(
     """
     if not (t > t_prev >= 0):
         raise InvalidTimestepOrder(f"need t > t_prev >= 0, got t={t}, t_prev={t_prev}")
-    eta = sched.eta if eta is None else eta
     eps = predicted_noise(n_t, n0_hat, t, sched)
     v_0 = (
         n0_hat.as_vector()
@@ -209,10 +207,11 @@ def _initial_pose(
         box = FrustumBox.for_config(cfg, rcfg.margin)
         n = box.clamp(standard_normal(rng) * scales.as_vector())
         return denormalize(NormalizedPose.from_vector(n), obs.intrinsics, cfg, reasons)
-    R = np.eye(3) if rcfg.canonical_rotation is None else np.asarray(rcfg.canonical_rotation)
     t = np.array([0.0, 0.0, cfg.c_z])
     batch = obs.gt_pose.t.shape[:-1]
-    return Pose(np.broadcast_to(R, batch + (3, 3)).copy(), np.broadcast_to(t, batch + (3,)).copy())
+    return Pose(
+        np.broadcast_to(np.eye(3), batch + (3, 3)).copy(), np.broadcast_to(t, batch + (3,)).copy()
+    )
 
 
 def _lockstep(
@@ -332,8 +331,6 @@ def run_direct_regression(
     oracle,
     rng,
     init_mode: str = "canonical",
-    prev_pose: Pose | None = None,
-    canonical_rotation: np.ndarray | None = None,
     keypoints: np.ndarray | None = None,
     record_poses: bool = True,
 ) -> tuple[Pose, Trajectory]:
@@ -348,10 +345,10 @@ def run_direct_regression(
     """
     if iterations < 1:
         raise InvalidIterationCount(f"iterations must be >= 1, got {iterations}")
-    rcfg = ReverseConfig(init_mode=init_mode, canonical_rotation=canonical_rotation)
+    rcfg = ReverseConfig(init_mode=init_mode)
     if keypoints is None:
         keypoints = _keypoints(chain, obs)
     plan = [(iterations - 1 - k, 1, None) for k in range(iterations)]
     return _lockstep(
-        plan, obs, sched, scales, cfg, rcfg, oracle, rng, prev_pose, keypoints, record_poses
+        plan, obs, sched, scales, cfg, rcfg, oracle, rng, None, keypoints, record_poses
     )

@@ -8,7 +8,7 @@ Camera frame (right-handed, standard computer vision):
 
 Image frame:
   - Origin top-left, u right (width), v down (height), units pixels.
-  - Principal point defaults to the image center (w/2, h/2).
+  - The principal point is the image center (w/2, h/2).
 
 6D rotation representation:
   - A length-6 vector holding the first two COLUMNS of a rotation matrix,
@@ -50,10 +50,6 @@ class Pose:
         if self.R.shape[-2:] != (3, 3) or self.R.ndim > 3:
             raise ValueError(f"R must be 3x3 or a batch of 3x3, got {self.R.shape}")
         self.t = np.asarray(self.t, dtype=float).reshape(self.R.shape[:-2] + (3,))
-
-    @classmethod
-    def identity(cls, depth: float = 1.5) -> "Pose":
-        return cls(np.eye(3), np.array([0.0, 0.0, depth]))
 
     @classmethod
     def stack(cls, poses) -> "Pose":
@@ -101,69 +97,43 @@ class Pose:
 class CameraIntrinsics:
     """Pinhole intrinsics: focal length and image size in pixels.
 
-    A single focal length is used for both axes. cx/cy default to the
-    image center. For a batch of N cameras every field is an (N,) array.
+    A single focal length is used for both axes. The principal point is
+    the image center: `normalize` relies on it to map the image onto the
+    box [-0.5, 0.5]^2, so `cx`/`cy` are derived and cannot be set. For a
+    batch of N cameras every field is an (N,) array.
     """
 
     f: float
     w: int
     h: int
-    cx: float = None  # type: ignore[assignment]
-    cy: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
         fields = (self.f, self.w, self.h)
         if not all(np.all(v > 0) if isinstance(v, np.ndarray) else v > 0 for v in fields):
             raise ValueError("f, w, h must all be positive")
-        if self.cx is None:
-            self.cx = self.w / 2.0
-        if self.cy is None:
-            self.cy = self.h / 2.0
+
+    @property
+    def cx(self) -> float | np.ndarray:
+        return self.w / 2.0
+
+    @property
+    def cy(self) -> float | np.ndarray:
+        return self.h / 2.0
 
     @classmethod
     def stack(cls, cameras) -> "CameraIntrinsics":
         """One batch of (N,) fields from a sequence of single cameras."""
-        f, w, h, cx, cy = (
-            np.array([getattr(k, name) for k in cameras]) for name in ("f", "w", "h", "cx", "cy")
-        )
-        return cls(f, w, h, cx, cy)
+        f, w, h = (np.array([getattr(k, name) for k in cameras]) for name in ("f", "w", "h"))
+        return cls(f, w, h)
 
     def __getitem__(self, rows) -> "CameraIntrinsics":
         """The cameras of the selected batch rows."""
-        return CameraIntrinsics(
-            self.f[rows], self.w[rows], self.h[rows], self.cx[rows], self.cy[rows]
-        )
+        return CameraIntrinsics(self.f[rows], self.w[rows], self.h[rows])
 
     def matrix(self) -> np.ndarray:
         return np.array(
             [[self.f, 0.0, self.cx], [0.0, self.f, self.cy], [0.0, 0.0, 1.0]]
         )
-
-
-@dataclass
-class CropRect:
-    """Axis-aligned crop region plus the target size it will be rescaled to.
-
-    Coordinates are sub-pixel floats; the extent matches the target aspect
-    ratio exactly so rescaling to (target_w, target_h) is isotropic.
-    """
-
-    u0: float
-    v0: float
-    width: float
-    height: float
-    target_w: int = 320
-    target_h: int = 240
-
-    def aspect_error(self) -> float:
-        """Pixel deviation of width from the target aspect ratio."""
-        return abs(self.width - self.height * self.target_w / self.target_h)
-
-    def contains(self, uv: np.ndarray, tol: float = 0.0) -> bool:
-        uv = np.atleast_2d(np.asarray(uv, dtype=float))
-        inside_u = (uv[:, 0] >= self.u0 - tol) & (uv[:, 0] <= self.u0 + self.width + tol)
-        inside_v = (uv[:, 1] >= self.v0 - tol) & (uv[:, 1] <= self.v0 + self.height + tol)
-        return bool(np.all(inside_u & inside_v))
 
 
 def gram_schmidt_6d(r6: np.ndarray, reasons: np.ndarray | None = None) -> np.ndarray:
@@ -245,72 +215,25 @@ def in_frustum(
     intrinsics: CameraIntrinsics,
     margin: float = 0.05,
     z_range: tuple[float, float] = (0.3, 3.0),
-) -> bool:
+) -> bool | np.ndarray:
     """True iff the pose's translation projects inside the margin-shrunk image
-    and its depth lies in `z_range`.
+    and its depth lies in `z_range`; a batch of poses gives one flag per row.
 
     Boundary comparisons carry a small tolerance so values clamped exactly to
     the frustum boundary count as inside. A pose behind the camera is False,
     never an error.
     """
-    z = pose.t[2]
+    x, y, z = pose.t.T
     z_min, z_max = z_range
-    if z <= 0:
-        return False
-    if z < z_min - FRUSTUM_TOL or z > z_max + FRUSTUM_TOL:
-        return False
-    u, v = project_point(pose.t, intrinsics)
-    lo_u, hi_u = margin * intrinsics.w, (1.0 - margin) * intrinsics.w
-    lo_v, hi_v = margin * intrinsics.h, (1.0 - margin) * intrinsics.h
-    return (
-        lo_u - FRUSTUM_TOL <= u <= hi_u + FRUSTUM_TOL
-        and lo_v - FRUSTUM_TOL <= v <= hi_v + FRUSTUM_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = intrinsics.f * (x / z) + intrinsics.cx
+        v = intrinsics.f * (y / z) + intrinsics.cy
+    inside = (
+        (z > 0)
+        & (z_min - FRUSTUM_TOL <= z) & (z <= z_max + FRUSTUM_TOL)
+        & (margin * intrinsics.w - FRUSTUM_TOL <= u)
+        & (u <= (1.0 - margin) * intrinsics.w + FRUSTUM_TOL)
+        & (margin * intrinsics.h - FRUSTUM_TOL <= v)
+        & (v <= (1.0 - margin) * intrinsics.h + FRUSTUM_TOL)
     )
-
-
-def crop_region(
-    points: np.ndarray,
-    intrinsics: CameraIntrinsics,
-    target: tuple[int, int] = (320, 240),
-    expand: float = 1.4,
-    min_size: float = 32.0,
-) -> CropRect:
-    """Image-space crop covering the projected points, at the target aspect.
-
-    The tight projected bounding box is inflated by `expand` about its
-    center, grown to at least `min_size` pixels per side, then grown along
-    one axis to match the target aspect ratio exactly. Growth only ever
-    enlarges the box, so the rect always contains every projected point.
-
-    Raises:
-        EmptyPointSet: on an empty input list.
-        BehindCamera: if any point has non-positive depth.
-    """
-    uv = project_points(points, intrinsics)
-    target_w, target_h = target
-    if target_w <= 0 or target_h <= 0:
-        raise ValueError("target size must be positive")
-
-    lo = uv.min(axis=0)
-    hi = uv.max(axis=0)
-    center = (lo + hi) / 2.0
-    w = (hi[0] - lo[0]) * expand
-    h = (hi[1] - lo[1]) * expand
-
-    w = max(w, min_size)
-    h = max(h, min_size)
-
-    ratio = target_w / target_h
-    if w / h < ratio:
-        w = h * ratio
-    else:
-        h = w / ratio
-
-    return CropRect(
-        u0=float(center[0] - w / 2.0),
-        v0=float(center[1] - h / 2.0),
-        width=float(w),
-        height=float(h),
-        target_w=target_w,
-        target_h=target_h,
-    )
+    return bool(inside) if np.ndim(inside) == 0 else inside

@@ -3,8 +3,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from posediff import ChainSpec, NormConfig, Pose, ScenarioRanges, generate_scenarios, in_frustum
 from posediff.cli import RunConfig, main
 from posediff.errors import InvalidConfig
 
@@ -71,6 +73,27 @@ class TestDiffuseCommand:
         ])
         summary = json.loads(read(out + ".json"))
         assert summary["per_timestep"]["100"]["in_frustum_rate"] < 1.0
+
+    def test_in_frustum_column_is_the_shared_predicate(self, tmp_path):
+        out = str(tmp_path / "pred")
+        assert main([
+            "diffuse", "--scenarios", "40", "--seed", "5", "--no-clamp", "--timesteps", "all",
+            "--out", out,
+        ]) == 0
+        cfg = RunConfig()
+        norm = NormConfig(c_z=cfg.cz, z_min=cfg.z_min, z_max=cfg.z_max)
+        scen = generate_scenarios(5, 40, ScenarioRanges(margin=cfg.margin), ChainSpec(), norm)
+        rows = [l for l in read(out + ".csv").decode().splitlines() if not l.startswith("#")]
+        flags = []
+        for row in rows[1:]:
+            index, _, flag, tx_n, ty_n, tz_n, _, _ = row.split(",")
+            K = scen.scenarios[int(index)].intrinsics
+            tz = float(tz_n) + norm.c_z
+            t = [(K.w * tz / K.f) * float(tx_n), (K.h * tz / K.f) * float(ty_n), tz]
+            want = in_frustum(Pose(np.eye(3), t), K, cfg.margin, (norm.z_min, norm.z_max))
+            assert flag == str(int(want)), row
+            flags.append(want)
+        assert len(flags) == 40 * 100 and 0 < sum(flags) < len(flags)
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -203,14 +226,14 @@ class TestEstimateCommand:
         # force one scenario to abort; the harness must count it, record the
         # reason, score it as a failure, and exit nonzero
         import posediff.cli as cli_mod
-        from posediff.errors import DegenerateRotation6D
 
         real = cli_mod.run_reverse
 
         def flaky(obs, chain, sched, scales, norm, rcfg, oracle, rng, **kw):
-            if abs(float(obs.gt_pose.t[0]) * 1e6) % 10 < 2:  # a few scenarios
-                raise DegenerateRotation6D("injected failure")
-            return real(obs, chain, sched, scales, norm, rcfg, oracle, rng, **kw)
+            final, traj = real(obs, chain, sched, scales, norm, rcfg, oracle, rng, **kw)
+            picked = np.abs(obs.gt_pose.t[:, 0] * 1e6) % 10 < 2  # a few scenarios
+            traj.reasons[picked] = "DegenerateRotation6D"
+            return final, traj
 
         monkeypatch.setattr(cli_mod, "run_reverse", flaky)
         out = str(tmp_path / "abort")
@@ -273,6 +296,16 @@ class TestConfigHandling:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"turbo": True}))
         assert main(["estimate", "--config", str(cfg_path)]) == 2
+
+    def test_removed_obs_noise_knob_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--obs-noise", "1", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        cfg_path = tmp_path / "old.json"
+        cfg_path.write_text(json.dumps({"obs_noise": 0}))
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "y")]) == 2
+        assert capsys.readouterr().err == "error: config file: unknown fields ['obs_noise']\n"
 
     def test_invalid_flag_value_exits_2(self, tmp_path):
         assert main(["estimate", "--gamma", "-3", "--out", str(tmp_path / "x")]) == 2

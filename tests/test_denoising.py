@@ -1,6 +1,4 @@
-"""Tests for the denoiser contract: update, targets, loss, oracles, embedding."""
-
-import math
+"""Tests for the denoiser contract: update, targets, loss, oracles."""
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from posediff import (
     decomposed_loss,
     denoise,
     diffuse,
-    embed_timestep,
     forward_kinematics,
     generate_scenarios,
     make_observation,
@@ -25,42 +22,9 @@ from posediff import (
     point_distance,
     sample_points,
 )
-from posediff.errors import EmptyPointSet, NonPositiveDepth, OddEmbeddingSize
+from posediff.errors import EmptyPointSet, NonPositiveDepth
 
 from conftest import random_pose
-
-
-class TestEmbedTimestep:
-    def test_zero_gives_sin0_cos1(self):
-        emb = embed_timestep(0, c_emb=6)
-        np.testing.assert_array_equal(emb.values, [0, 1, 0, 1, 0, 1])
-
-    def test_base_frequency_pair(self):
-        emb = embed_timestep(1, c_emb=2)
-        np.testing.assert_allclose(emb.values, [math.sin(1), math.cos(1)])
-
-    def test_default_layout(self):
-        emb = embed_timestep(50, c_emb=4)
-        np.testing.assert_allclose(
-            emb.values,
-            [math.sin(50), math.cos(50), math.sin(50 / 100), math.cos(50 / 100)],
-        )
-
-    def test_values_bounded(self):
-        for t in range(0, 200, 7):
-            assert np.all(np.abs(embed_timestep(t).values) <= 1.0)
-
-    def test_distinct_timesteps_distinct_embeddings(self):
-        seen = [tuple(embed_timestep(t).values) for t in range(1, 101)]
-        assert len(set(seen)) == 100
-
-    def test_odd_size_raises(self):
-        with pytest.raises(OddEmbeddingSize):
-            embed_timestep(1, c_emb=3)
-
-    def test_negative_timestep_raises(self):
-        with pytest.raises(ValueError):
-            embed_timestep(-1)
 
 
 class TestApplyUpdate:

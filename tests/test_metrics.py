@@ -183,14 +183,3 @@ class TestMakeObservation:
             np.testing.assert_allclose(obs.keypoints_2d[vis, 0], expect_u, atol=1e-9)
             assert np.all(np.isnan(obs.keypoints_2d[~vis]))
 
-    def test_noise_level_applied(self, chain):
-        ranges = ScenarioRanges(obs_noise_px=2.0)
-        scen = generate_scenarios(6, 5, ranges)
-        noisy = make_observation(scen.scenarios[0], chain, 6)
-        clean_ranges = ScenarioRanges(obs_noise_px=0.0)
-        clean_scen = generate_scenarios(6, 5, clean_ranges)
-        clean = make_observation(clean_scen.scenarios[0], chain, 6)
-        vis = ~np.isnan(clean.keypoints_2d[:, 0])
-        deltas = noisy.keypoints_2d[vis] - clean.keypoints_2d[vis]
-        assert np.abs(deltas).max() > 0
-        assert np.abs(deltas).max() < 20.0

@@ -11,7 +11,6 @@ from posediff import (
     normalize,
 )
 from posediff.errors import DegenerateRotation6D, NonPositiveDepth
-from posediff.mononorm import denormalize_translation_batch, normalize_batch
 
 from conftest import random_pose
 
@@ -102,21 +101,14 @@ class TestBatchHelpers:
     def test_batch_agrees_with_scalar(self, intrinsics, norm_cfg):
         rng = np.random.default_rng(11)
         poses = [random_pose(rng) for _ in range(32)]
-        R = np.stack([p.R for p in poses])
-        t = np.stack([p.t for p in poses])
-        batch = normalize_batch(R, t, intrinsics.f, intrinsics.w, intrinsics.h, norm_cfg)
+        batch = normalize(Pose.stack(poses), intrinsics, norm_cfg).as_vector()
         for i, p in enumerate(poses):
             np.testing.assert_allclose(
                 batch[i], normalize(p, intrinsics, norm_cfg).as_vector(), atol=0
             )
-        back = denormalize_translation_batch(
-            batch, intrinsics.f, intrinsics.w, intrinsics.h, norm_cfg
-        )
-        np.testing.assert_allclose(back, t, atol=1e-12)
+        back = denormalize(NormalizedPose.from_vector(batch), intrinsics, norm_cfg)
+        np.testing.assert_allclose(back.t, np.stack([p.t for p in poses]), atol=1e-12)
 
     def test_batch_rejects_bad_depths(self, intrinsics, norm_cfg):
         with pytest.raises(NonPositiveDepth):
-            normalize_batch(
-                np.eye(3)[None], np.array([[0, 0, -1.0]]),
-                intrinsics.f, intrinsics.w, intrinsics.h, norm_cfg,
-            )
+            normalize(Pose(np.eye(3)[None], np.array([[0, 0, -1.0]])), intrinsics, norm_cfg)

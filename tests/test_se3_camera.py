@@ -1,4 +1,4 @@
-"""Tests for pose/camera primitives: Gram-Schmidt, projection, frustum, crop."""
+"""Tests for pose/camera primitives: Gram-Schmidt, projection, frustum, intrinsics."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from posediff import (
     CameraIntrinsics,
     Pose,
-    crop_region,
     gram_schmidt_6d,
     in_frustum,
     project_point,
@@ -141,47 +140,17 @@ class TestInFrustum:
         assert not in_frustum(Pose(np.eye(3), [tx_out, 0, tz]), intrinsics, margin=margin)
 
 
-class TestCropRegion:
-    def test_single_point_grows_to_min_size(self, intrinsics):
-        rect = crop_region(np.array([[0.0, 0.0, 1.5]]), intrinsics, expand=1.4)
-        assert rect.height == pytest.approx(32.0)
-        assert rect.width == pytest.approx(32.0 * 320 / 240)
-        center = (rect.u0 + rect.width / 2, rect.v0 + rect.height / 2)
-        assert center == pytest.approx((320.0, 240.0))
+class TestCameraIntrinsics:
+    def test_principal_point_is_the_image_center(self):
+        K = CameraIntrinsics(f=500.0, w=1280, h=720)
+        assert (K.cx, K.cy) == (640.0, 360.0)
+        batch = CameraIntrinsics.stack([K, CameraIntrinsics(f=400.0, w=640, h=480)])
+        np.testing.assert_array_equal(batch.cx, [640.0, 320.0])
+        np.testing.assert_array_equal(batch[1:].cy, [240.0])
 
-    def test_two_point_hand_example(self):
-        # points projecting to (100,100) and (300,250): 200x150 box, 4:3 already
-        K = CameraIntrinsics(f=100.0, w=640, h=480, cx=0.0, cy=0.0)
-        pts = np.array([[1.0, 1.0, 1.0], [3.0, 2.5, 1.0]])
-        rect = crop_region(pts, K, expand=1.0)
-        assert (rect.u0, rect.v0) == pytest.approx((100.0, 100.0))
-        assert (rect.width, rect.height) == pytest.approx((200.0, 150.0))
-
-    def test_aspect_always_matches_target(self, intrinsics):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            pts = np.column_stack([
-                rng.uniform(-0.5, 0.5, 5), rng.uniform(-0.5, 0.5, 5), rng.uniform(0.5, 2.5, 5)
-            ])
-            rect = crop_region(pts, intrinsics)
-            assert rect.aspect_error() < 1.0
-
-    def test_contains_all_projected_points(self, intrinsics):
-        rng = np.random.default_rng(9)
-        for expand in (1.0, 1.4, 2.0):
-            pts = np.column_stack([
-                rng.uniform(-1, 1, 12), rng.uniform(-1, 1, 12), rng.uniform(0.3, 3, 12)
-            ])
-            rect = crop_region(pts, intrinsics, expand=expand)
-            assert rect.contains(project_points(pts, intrinsics), tol=1e-9)
-
-    def test_behind_camera_raises(self, intrinsics):
-        with pytest.raises(BehindCamera):
-            crop_region(np.array([[0, 0, 1.0], [0, 0, -1.0]]), intrinsics)
-
-    def test_empty_raises(self, intrinsics):
-        with pytest.raises(EmptyPointSet):
-            crop_region(np.zeros((0, 3)), intrinsics)
+    def test_principal_point_cannot_be_set(self):
+        with pytest.raises(TypeError):
+            CameraIntrinsics(600.0, 640, 480, cx=0.0)
 
 
 class TestPose:

@@ -35,10 +35,11 @@ import numpy as np
 
 from . import __version__
 from .denoising import Observation, decomposed_loss, parse_denoiser, parse_denoiser_spec
-from .errors import InvalidConfig, PoseDiffError
+from .errors import ABORTS, InvalidConfig, PoseDiffError
 from .forward_diffusion import (
     FrustumBox,
     NoiseScales,
+    diffuse,
     diffuse_normalized,
     make_linear_schedule,
     sample_timestep,
@@ -64,14 +65,16 @@ from .reverse import (
     run_reverse,
 )
 from .robot_chain import ChainSpec, forward_kinematics, sample_points
-from .se3_camera import in_frustum
+from .se3_camera import CameraIntrinsics, Pose, in_frustum
 
 RNG_SCHEME = "numpy default_rng seeded with [seed, scenario_index, stream]"
 
-# Fewest scenarios per --workers chunk of an estimate run. A chunk's cost per
-# step is mostly numpy call overhead, which does not shrink with its length,
-# so splitting off a tiny chunk adds calls and saves nothing.
+# Fewest scenarios per --workers chunk. A chunk's cost per step is mostly
+# numpy call overhead, which does not shrink with its length, so splitting
+# off a tiny chunk adds calls and saves nothing.
 MIN_CHUNK = 8
+# Most scenarios per chunk, so that peak memory does not grow with --scenarios.
+MAX_CHUNK = 256
 
 
 @dataclass
@@ -133,7 +136,15 @@ class RunConfig:
                 raise InvalidConfig(f"{fieldname}: {msg}")
         parse_denoiser_spec(self.denoiser)
         self.parse_timesteps()
+        self.load_chain()
         return self
+
+    def load_chain(self) -> ChainSpec:
+        """The --chain file's chain, or the default chain without one."""
+        try:
+            return ChainSpec.from_json(self.chain) if self.chain else ChainSpec()
+        except (OSError, ValueError, TypeError) as exc:
+            raise InvalidConfig(f"chain: {exc}") from exc
 
     def parse_timesteps(self) -> list[int]:
         if self.timesteps.strip().lower() == "all":
@@ -156,7 +167,7 @@ def _build_world(cfg: RunConfig):
     norm = NormConfig(c_z=cfg.cz, z_min=cfg.z_min, z_max=cfg.z_max)
     scales = NoiseScales.for_config(norm, gamma=cfg.gamma)
     box = FrustumBox.for_config(norm, margin=cfg.margin)
-    chain = ChainSpec.from_json(cfg.chain) if cfg.chain else ChainSpec()
+    chain = cfg.load_chain()
     oracle = parse_denoiser(cfg.denoiser, sched, scales, norm, competence=cfg.competence)
     return sched, norm, scales, box, chain, oracle
 
@@ -218,54 +229,81 @@ def cmd_schedule(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_diffuse(cfg: RunConfig) -> int:
-    sched, norm, scales, box, chain, _ = _build_world(cfg)
-    ts = cfg.parse_timesteps()
+def _chunks(items: list, workers: int) -> list[list]:
+    """`items` split into contiguous chunks of near-equal length: one per
+    worker while each keeps MIN_CHUNK items, and more where needed to keep
+    every chunk within MAX_CHUNK."""
+    n = max(1, min(workers, len(items) // MIN_CHUNK), -(-len(items) // MAX_CHUNK))
+    bounds = [len(items) * k // n for k in range(n + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_chunks(cfg: RunConfig, run_chunk) -> list:
+    """`run_chunk(cfg, world, chunk)` for each `_chunks` chunk of the run's scenarios,
+    in order, on a thread pool when --workers > 1; every subcommand runs this way."""
+    world = _build_world(cfg)
+    _, norm, _, _, chain, _ = world
     ranges = ScenarioRanges(margin=cfg.margin)
     scen = generate_scenarios(cfg.seed, cfg.scenarios, ranges, chain, norm)
+    chunks = _chunks(scen.scenarios, cfg.workers)
+    if cfg.workers <= 1:
+        return [run_chunk(cfg, world, chunk) for chunk in chunks]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        return list(pool.map(lambda chunk: run_chunk(cfg, world, chunk), chunks))
 
-    def one(sc):
-        rng = scenario_rng(cfg.seed, sc.index, STREAM_DIFFUSE)
-        K = sc.intrinsics
-        n0 = normalize(sc.gt_pose, K, norm).as_vector()
-        eps = rng.standard_normal((len(ts), 9))
-        n = np.array([
-            diffuse_normalized(n0, t, sched, scales, eps[j], box if cfg.clamp else None)
-            for j, t in enumerate(ts)
-        ])
-        # Rows behind the camera are recorded in `reasons` instead of raising;
-        # in_frustum counts them as outside.
-        reasons = np.full(len(ts), "", dtype=object)
+
+def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
+    """Forward-diffuse a chunk of S scenarios at all T --timesteps as one batch.
+
+    Returns its CSV rows, (S, T) in-frustum flags and (S, T, 9) noised vectors.
+    """
+    sched, norm, scales, box, _, _ = world
+    ts = cfg.parse_timesteps()
+    K = CameraIntrinsics.stack([sc.intrinsics for sc in scenarios])
+    n0 = normalize(Pose.stack([sc.gt_pose for sc in scenarios]), K, norm).as_vector()
+    # Each scenario draws one (T, 9) noise block from its own generator.
+    eps = np.concatenate([
+        scenario_rng(cfg.seed, sc.index, STREAM_DIFFUSE).standard_normal((len(ts), 9))
+        for sc in scenarios
+    ])
+    rows = np.repeat(np.arange(len(scenarios)), len(ts))
+    t = np.tile(ts, len(scenarios))
+    K = K[rows]
+    n = diffuse_normalized(n0[rows], t, sched, scales, eps, box if cfg.clamp else None)
+    # Rows behind the camera or with a degenerate rotation are recorded in
+    # `reasons` instead of raising; in_frustum counts them as outside.
+    reasons = np.full(len(n), "", dtype=object)
+    with np.errstate(all="ignore"):
         pose = denormalize(NormalizedPose.from_vector(n), K, norm, reasons)
-        inside = in_frustum(pose, K, cfg.margin, (norm.z_min, norm.z_max))
-        behind = pose.t[:, 2] <= 0
-        u = np.where(behind, np.nan, K.w * n[:, 6] + K.cx)
-        v = np.where(behind, np.nan, K.h * n[:, 7] + K.cy)
-        # Rows of Python floats, which print as the numpy values do, only faster.
-        cols = zip(ts, inside.tolist(), n[:, 6:].tolist(), u.tolist(), v.tolist())
-        rows = [(sc.index, t, int(ok), *tn, uj, vj) for t, ok, tn, uj, vj in cols]
-        return rows, list(zip(ts, inside, n))
+    inside = in_frustum(pose, K, cfg.margin, (norm.z_min, norm.z_max))
+    behind = pose.t[:, 2] <= 0
+    u = np.where(behind, np.nan, K.w * n[:, 6] + K.cx)
+    v = np.where(behind, np.nan, K.h * n[:, 7] + K.cy)
+    index = np.array([sc.index for sc in scenarios])[rows]
+    # Rows of Python values, which print as the numpy values do, only faster.
+    cols = zip(index.tolist(), t.tolist(), inside.tolist(), n[:, 6:].tolist(), u.tolist(),
+               v.tolist())
+    csv_rows = [(i, tj, int(ok), *tn, uj, vj) for i, tj, ok, tn, uj, vj in cols]
+    return csv_rows, inside.reshape(len(scenarios), -1), n.reshape(len(scenarios), -1, 9)
 
-    results = _run_pool(one, scen.scenarios, cfg.workers)
-    all_rows = [row for rows, _ in results for row in rows]
-    per_t = {t: {"count": 0, "inside": 0, "vecs": []} for t in ts}
-    for _, samples in results:
-        for t, ok, n_t in samples:
-            per_t[t]["count"] += 1
-            per_t[t]["inside"] += int(ok)
-            per_t[t]["vecs"].append(n_t)
+
+def cmd_diffuse(cfg: RunConfig) -> int:
+    ts = cfg.parse_timesteps()
+    chunks = _run_chunks(cfg, _diffuse_chunk)
+    all_rows = [row for rows, _, _ in chunks for row in rows]
+    inside = np.concatenate([flags for _, flags, _ in chunks])
 
     summary_t = {}
-    inside_total = 0
-    for t in ts:
-        vecs = np.array(per_t[t]["vecs"])
-        inside_total += per_t[t]["inside"]
+    for t in dict.fromkeys(ts):
+        # A timestep listed more than once pools its columns, scenario by scenario.
+        cols = [j for j, tj in enumerate(ts) if tj == t]
+        vecs = np.concatenate([n[:, cols] for _, _, n in chunks]).reshape(-1, 9)
         summary_t[str(t)] = {
-            "in_frustum_rate": per_t[t]["inside"] / per_t[t]["count"],
-            "component_mean": [float(m) for m in vecs.mean(axis=0)],
-            "component_std": [float(s) for s in vecs.std(axis=0)],
+            "in_frustum_rate": int(inside[:, cols].sum()) / inside[:, cols].size,
+            "component_mean": vecs.mean(axis=0).tolist(),
+            "component_std": vecs.std(axis=0).tolist(),
         }
-    rate = inside_total / (cfg.scenarios * len(ts))
+    rate = int(inside.sum()) / inside.size
 
     _write_csv(
         cfg.out + ".csv",
@@ -283,21 +321,6 @@ def cmd_diffuse(cfg: RunConfig) -> int:
     )
     print(f"diffuse: in_frustum_rate={rate:.6f} over {len(all_rows)} samples -> {cfg.out}.csv/.json")
     return 0
-
-
-def _run_pool(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _chunks(items: list, workers: int) -> list[list]:
-    """`items` split into at most `workers` contiguous chunks of near-equal
-    length, each at least MIN_CHUNK long unless there is only one."""
-    n = max(1, min(workers, len(items) // MIN_CHUNK))
-    bounds = [len(items) * k // n for k in range(n + 1)]
-    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _estimate_reverse_config(cfg: RunConfig) -> ReverseConfig:
@@ -368,18 +391,9 @@ def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    world = _build_world(cfg)
-    _, norm, _, _, chain, _ = world
-    ranges = ScenarioRanges(margin=cfg.margin)
-    scen = generate_scenarios(cfg.seed, cfg.scenarios, ranges, chain, norm)
     rcfg = _estimate_reverse_config(cfg)
-
     t0 = time.perf_counter()
-    chunks = _run_pool(
-        lambda chunk: _estimate_chunk(cfg, world, rcfg, chunk),
-        _chunks(scen.scenarios, cfg.workers),
-        cfg.workers,
-    )
+    chunks = _run_chunks(cfg, lambda cfg, world, chunk: _estimate_chunk(cfg, world, rcfg, chunk))
     results = [result for chunk in chunks for result in chunk]
     elapsed = time.perf_counter() - t0
 
@@ -428,30 +442,28 @@ def cmd_estimate(cfg: RunConfig) -> int:
     return 1 if aborted > 0 else 0
 
 
+def _trainsim_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> np.ndarray:
+    """(t, loss_xy, loss_rot, loss_z, total) rows of a chunk, scenario by scenario,
+    then draw by draw; each draw is one batch over the chunk. Each generator
+    is drawn as in a scenario run alone: per draw, the timestep, the forward
+    noise and its redraws, then the oracle's noise."""
+    sched, norm, scales, box, chain, oracle = world
+    obs = Observation.stack([make_observation(sc, chain, cfg.seed) for sc in scenarios])
+    rngs = [scenario_rng(cfg.seed, sc.index, STREAM_TRAINSIM) for sc in scenarios]
+    points = np.stack([sample_points(chain, sc.joints, cfg.per_link) for sc in scenarios])
+    draws = []
+    for _ in range(cfg.draws):
+        t = np.array([sample_timestep(sched, rng) for rng in rngs])
+        pose_t = diffuse(
+            obs.gt_pose, t, sched, scales, box, obs.intrinsics, norm, rngs, clamp=cfg.clamp
+        )
+        pred = oracle.predict(pose_t, t, obs, rngs)
+        draws.append((t, *decomposed_loss(obs.gt_pose, pose_t, pred, points, obs.intrinsics)))
+    return np.array(draws, dtype=float).transpose(2, 0, 1).reshape(-1, 5)
+
+
 def cmd_trainsim(cfg: RunConfig) -> int:
-    from .forward_diffusion import diffuse
-
-    sched, norm, scales, box, chain, oracle = _build_world(cfg)
-    ranges = ScenarioRanges(margin=cfg.margin)
-    scen = generate_scenarios(cfg.seed, cfg.scenarios, ranges, chain, norm)
-
-    def one(sc):
-        obs = make_observation(sc, chain, cfg.seed)
-        rng = scenario_rng(cfg.seed, sc.index, STREAM_TRAINSIM)
-        points = sample_points(chain, sc.joints, cfg.per_link)
-        out_rows = []
-        for _ in range(cfg.draws):
-            t = sample_timestep(sched, rng)
-            pose_t = diffuse(
-                sc.gt_pose, t, sched, scales, box, sc.intrinsics, norm, rng, clamp=cfg.clamp
-            )
-            pred = oracle.predict(pose_t, t, obs, rng)
-            lxy, lrot, lz, total = decomposed_loss(sc.gt_pose, pose_t, pred, points, sc.intrinsics)
-            out_rows.append((t, lxy, lrot, lz, total))
-        return out_rows
-
-    samples = [row for rows in _run_pool(one, scen.scenarios, cfg.workers) for row in rows]
-    arr = np.array(samples)
+    arr = np.concatenate(_run_chunks(cfg, _trainsim_chunk))
     n_bins = min(10, cfg.steps)
     edges = np.linspace(1, cfg.steps + 1, n_bins + 1)
     bins = []
@@ -587,7 +599,8 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg)
     except PoseDiffError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # A scenario abort is a failed run, not a bad configuration.
+        return 1 if isinstance(exc, ABORTS) else 2
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPointSet, InvalidConfig, NonPositiveDepth, fail_where
-from .forward_diffusion import NoiseScales, Schedule
+from .forward_diffusion import NoiseScales, Schedule, standard_normal
 from .mononorm import NormConfig, normalize
 from .robot_chain import JointConfig
 from .se3_camera import CameraIntrinsics, Pose, gram_schmidt_6d
@@ -109,14 +109,6 @@ class Observation:
         """The observations of the selected batch rows."""
         joints = [self.joints[i] for i in np.arange(len(self.joints))[rows]]
         return Observation(self.gt_pose[rows], self.intrinsics[rows], joints)
-
-
-def standard_normal(rng) -> np.ndarray:
-    """Nine standard normal draws from one generator, or an (N, 9) array
-    holding nine from each generator of a sequence."""
-    if isinstance(rng, np.random.Generator):
-        return rng.standard_normal(9)
-    return np.array([g.standard_normal(9) for g in rng]).reshape(-1, 9)
 
 
 def apply_update(
@@ -233,12 +225,13 @@ class NoisyOracle:
     def predict(
         self, pose_t: Pose, t: int, obs: Observation, rng, reasons: np.ndarray | None = None
     ) -> DenoiserOutput:
-        """Noisy targets; a batch draws one 9-vector from each row's generator."""
+        """Noisy targets at timestep `t`, or at one timestep per row; a batch
+        draws one 9-vector from each row's generator."""
         exact = compute_gt_targets(pose_t, obs.gt_pose, obs.intrinsics, reasons)
         if self.sigma0 == 0.0:
             return exact
 
-        level = np.sqrt(1.0 - self.sched.alpha_bar_at(t))
+        level = np.sqrt(1.0 - self.sched.alpha_bar[t])
         K = obs.intrinsics
         z_t = pose_t.t.T[2]
 
@@ -260,12 +253,12 @@ class NoisyOracle:
             v_z = np.where(limited, 1.0 + c * (v_z - 1.0), v_z)
 
         # Additive prediction noise, matched per component to the forward
-        # noise scales so sigma0 is in schedule units.
-        sigma = self.sigma0 * level
+        # noise scales so sigma0 is in schedule units; one scale per row.
+        sigma = self.sigma0 * np.asarray(level)[..., None]
         z = standard_normal(rng)
         dr6 = dr6 + sigma * self.scales.s_rot * z[..., :6]
         v_xy = v_xy + sigma * self.scales.s_xy * np.array([K.w, K.h]).T * z[..., 6:8]
-        v_z = v_z + sigma * (self.scales.s_z / z_t) * z[..., 8]
+        v_z = v_z + sigma[..., 0] * (self.scales.s_z / z_t) * z[..., 8]
         v_z = np.maximum(v_z, 1e-9)
         return DenoiserOutput(v_xy, dr6, v_z)
 

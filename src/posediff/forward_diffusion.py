@@ -33,15 +33,12 @@ class Schedule:
 
     `beta[i]` is the noise coefficient for timestep t = i + 1;
     `alpha_bar[t]` is the cumulative product for timestep t, with
-    alpha_bar[0] = 1.
+    alpha_bar[0] = 1; an array of timesteps indexes one value per entry.
     """
 
     T: int
     beta: np.ndarray
     alpha_bar: np.ndarray
-
-    def alpha_bar_at(self, t: int) -> float:
-        return float(self.alpha_bar[t])
 
     def validate(self) -> "Schedule":
         if self.T < 1 or self.beta.shape != (self.T,) or self.alpha_bar.shape != (self.T + 1,):
@@ -157,9 +154,17 @@ def sample_timestep(sched: Schedule, rng: np.random.Generator) -> int:
     return int(rng.integers(1, sched.T + 1))
 
 
+def standard_normal(rng) -> np.ndarray:
+    """Nine standard normal draws from one generator, or an (N, 9) array
+    holding nine from each generator of a sequence, in order."""
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal(9)
+    return np.array([g.standard_normal(9) for g in rng]).reshape(-1, 9)
+
+
 def diffuse_normalized(
     n0: np.ndarray,
-    t: int,
+    t: int | np.ndarray,
     sched: Schedule,
     scales: NoiseScales,
     eps: np.ndarray,
@@ -168,10 +173,11 @@ def diffuse_normalized(
     """Closed-form forward step on normalized vectors; the verification core.
 
     `n0` broadcasts against `eps` (shape (..., 9)), so one ground truth can
-    be diffused under many noise draws at once. Pass box=None to disable
-    the frustum clamp.
+    be diffused under many noise draws at once. `t` is one timestep for
+    every vector, or an array with one timestep per vector of the batch.
+    Pass box=None to disable the frustum clamp.
     """
-    a = sched.alpha_bar_at(t)
+    a = np.asarray(sched.alpha_bar[t])[..., None]
     n_t = np.sqrt(a) * np.asarray(n0, dtype=float) + np.sqrt(1.0 - a) * (
         np.asarray(eps, dtype=float) * scales.as_vector()
     )
@@ -182,39 +188,57 @@ def diffuse_normalized(
 
 def diffuse(
     pose0: Pose,
-    t: int,
+    t: int | np.ndarray,
     sched: Schedule,
     scales: NoiseScales,
     box: FrustumBox,
     intrinsics: CameraIntrinsics,
     cfg: NormConfig,
-    rng: np.random.Generator,
+    rng,
     clamp: bool = True,
     eps: np.ndarray | None = None,
     max_retries: int = 16,
 ) -> Pose:
-    """Draw a noisy in-frustum pose from the forward process at timestep t.
+    """Draw noisy in-frustum poses from the forward process.
+
+    A single pose takes an int `t` and one generator. A batch of N poses and
+    cameras takes N timesteps and a sequence of N generators, one per row; a
+    single pose runs as a batch of one. Each row draws nine standard normals
+    from its own generator. If a row's noised rotation components are
+    degenerate under Gram-Schmidt, that row alone redraws from its generator,
+    up to `max_retries` times, before the error propagates. Passing an
+    explicit `eps` of shape (9,) or (N, 9) (test hook) disables retries.
 
     t = 0 is permitted and returns pose0 reconstructed exactly (alpha_bar
-    is 1 there); training draws use t in [1, T]. If the noised rotation
-    components are degenerate under Gram-Schmidt, the noise is resampled up
-    to `max_retries` times before the error propagates. Passing an explicit
-    `eps` (test hook) disables retries.
+    is 1 there); training draws use t in [1, T].
 
     Raises:
-        InvalidScheduleParams: if t is outside [0, T].
-        DegenerateRotation6D: after exhausting retries.
+        InvalidScheduleParams: if a timestep is outside [0, T].
+        NonPositiveDepth: if a row's noised depth is not positive (clamp=False).
+        DegenerateRotation6D: after a row exhausts its retries.
     """
-    if not (0 <= t <= sched.T):
+    t = np.asarray(t)
+    if np.any((t < 0) | (t > sched.T)):
         raise InvalidScheduleParams(f"timestep {t} outside [0, {sched.T}]")
+    single = pose0.t.ndim == 1
+    if single:
+        pose0, intrinsics, rng = Pose.stack([pose0]), CameraIntrinsics.stack([intrinsics]), [rng]
+        t = t.reshape(1)
     n0 = normalize(pose0, intrinsics, cfg).as_vector()
+    e = standard_normal(rng) if eps is None else np.array(eps, dtype=float).reshape(n0.shape)
     attempts = max_retries if eps is None else 0
     for attempt in range(attempts + 1):
-        e = rng.standard_normal(9) if eps is None else np.asarray(eps, dtype=float).reshape(9)
         n_t = diffuse_normalized(n0, t, sched, scales, e, box if clamp else None)
-        try:
-            return denormalize(NormalizedPose.from_vector(n_t), intrinsics, cfg)
-        except DegenerateRotation6D:
-            if attempt == attempts:
-                raise
-    raise AssertionError("unreachable")
+        reasons = np.full(len(n0), "", dtype=object)
+        # Degenerate rows divide by a vanishing norm; they are redrawn or raise below.
+        with np.errstate(all="ignore"):
+            pose = denormalize(NormalizedPose.from_vector(n_t), intrinsics, cfg, reasons)
+        redo = reasons == DegenerateRotation6D.__name__
+        if attempt == attempts or not redo.any():
+            break
+        e[redo] = standard_normal([rng[i] for i in np.flatnonzero(redo)])
+    failed = np.flatnonzero(reasons != "")
+    if failed.size:
+        # Alone and without a record, the first failing row raises its error.
+        denormalize(NormalizedPose.from_vector(n_t[failed[0]]), intrinsics[failed[0]], cfg)
+    return pose[0] if single else pose

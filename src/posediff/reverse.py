@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoising import Observation, denoise, point_distance, standard_normal
+from .denoising import Observation, denoise, point_distance
 from .errors import (
     InvalidConfig,
     InvalidIterationCount,
@@ -39,7 +39,7 @@ from .errors import (
     NonFiniteState,
     fail_where,
 )
-from .forward_diffusion import FrustumBox, NoiseScales, Schedule, ddim_timesteps
+from .forward_diffusion import FrustumBox, NoiseScales, Schedule, ddim_timesteps, standard_normal
 from .mononorm import NormConfig, NormalizedPose, denormalize, normalize
 from .robot_chain import ChainSpec, forward_kinematics
 from .se3_camera import Pose
@@ -134,7 +134,7 @@ def predicted_noise(
         if isinstance(n0_hat, NormalizedPose)
         else np.asarray(n0_hat, dtype=float)
     )
-    a = sched.alpha_bar_at(t)
+    a = sched.alpha_bar[t]
     return (v_t - np.sqrt(a) * v_0) / np.sqrt(1.0 - a)
 
 
@@ -147,8 +147,8 @@ def sigma_squared(sched: Schedule, t: int, t_prev: int, eta: float, form: str = 
     """
     if eta == 0.0:
         return 0.0
-    a_t = sched.alpha_bar_at(t)
-    a_prev = sched.alpha_bar_at(t_prev)
+    a_t = sched.alpha_bar[t]
+    a_prev = sched.alpha_bar[t_prev]
     if form == "standard":
         return eta**2 * (1.0 - a_prev) / (1.0 - a_t) * (1.0 - a_t / a_prev)
     if form == "paper":
@@ -180,7 +180,7 @@ def ddim_step(
         if isinstance(n0_hat, NormalizedPose)
         else np.asarray(n0_hat, dtype=float)
     )
-    a_prev = sched.alpha_bar_at(t_prev)
+    a_prev = sched.alpha_bar[t_prev]
     s2 = sigma_squared(sched, t, t_prev, eta, sigma_form)
     radicand = 1.0 - a_prev - s2
     if radicand < 0.0:

@@ -74,6 +74,9 @@ class ChainSpec:
     def from_json(cls, path: str) -> "ChainSpec":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        fields = {"n_joints", "link_lengths", "joint_axes"}
+        if not isinstance(data, dict) or not set(data) <= fields:
+            raise ValueError(f"a chain file is a JSON object with keys among {sorted(fields)}")
         kwargs = {}
         if "n_joints" in data:
             kwargs["n_joints"] = int(data["n_joints"])

@@ -1,0 +1,215 @@
+"""Differential tests: the diffuse and trainsim chunk batches against per-scenario loops.
+
+The references below run one scenario at a time through the scalar calls,
+drawing from the scenario's own generator in the order the batch must keep:
+for diffuse, one (T, 9) noise block; for trainsim, per draw, the timestep,
+the forward noise and any redraws of it, then the oracle's noise. The
+reference forward draw is the scalar retry loop written out, so it does not
+share the batch code of `forward_diffusion.diffuse`. Integer columns must
+agree exactly and floats to 1e-12 relative.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from posediff import (
+    NormalizedPose,
+    decomposed_loss,
+    denormalize,
+    diffuse,
+    diffuse_normalized,
+    generate_scenarios,
+    in_frustum,
+    make_observation,
+    normalize,
+    sample_points,
+    sample_timestep,
+    scenario_rng,
+)
+from posediff import cli
+from posediff.denoising import Observation
+from posediff.errors import DegenerateRotation6D, NonPositiveDepth
+from posediff.metrics import STREAM_DIFFUSE, STREAM_TRAINSIM, ScenarioRanges
+
+
+def scenarios(cfg, world):
+    return generate_scenarios(cfg.seed, cfg.scenarios, ScenarioRanges(margin=cfg.margin),
+                              world[4], world[1]).scenarios
+
+
+def reference_diffuse_rows(cfg, world, sc):
+    """CSV rows and noised vectors of one scenario, one timestep at a time."""
+    sched, norm, scales, box, _, _ = world
+    ts = cfg.parse_timesteps()
+    K = sc.intrinsics
+    n0 = normalize(sc.gt_pose, K, norm).as_vector()
+    eps = scenario_rng(cfg.seed, sc.index, STREAM_DIFFUSE).standard_normal((len(ts), 9))
+    rows, vecs = [], []
+    for j, t in enumerate(ts):
+        n = diffuse_normalized(n0, t, sched, scales, eps[j], box if cfg.clamp else None)
+        try:
+            inside = in_frustum(denormalize(NormalizedPose.from_vector(n), K, norm), K,
+                                cfg.margin, (norm.z_min, norm.z_max))
+        except (NonPositiveDepth, DegenerateRotation6D):
+            inside = False
+        behind = n[8] + norm.c_z <= 0
+        u = math.nan if behind else K.w * n[6] + K.cx
+        v = math.nan if behind else K.h * n[7] + K.cy
+        rows.append((sc.index, t, int(inside), *n[6:], u, v))
+        vecs.append(n)
+    return rows, vecs
+
+
+def reference_forward_draw(sc, t, world, rng, clamp):
+    """The forward draw of one pose: redraw a degenerate rotation up to 16 times."""
+    sched, norm, scales, box, _, _ = world
+    n0 = normalize(sc.gt_pose, sc.intrinsics, norm).as_vector()
+    for attempt in range(17):
+        n_t = diffuse_normalized(n0, t, sched, scales, rng.standard_normal(9),
+                                 box if clamp else None)
+        try:
+            return denormalize(NormalizedPose.from_vector(n_t), sc.intrinsics, norm)
+        except DegenerateRotation6D:
+            if attempt == 16:
+                raise
+
+
+def reference_trainsim_rows(cfg, world, sc):
+    """(t, loss_xy, loss_rot, loss_z, total) rows of one scenario, draw by draw."""
+    sched, _, _, _, chain, oracle = world
+    obs = make_observation(sc, chain, cfg.seed)
+    rng = scenario_rng(cfg.seed, sc.index, STREAM_TRAINSIM)
+    points = sample_points(chain, sc.joints, cfg.per_link)
+    rows = []
+    for _ in range(cfg.draws):
+        t = sample_timestep(sched, rng)
+        pose_t = reference_forward_draw(sc, t, world, rng, cfg.clamp)
+        pred = oracle.predict(pose_t, t, obs, rng)
+        rows.append((t, *decomposed_loss(sc.gt_pose, pose_t, pred, points, sc.intrinsics)))
+    return rows
+
+
+def assert_rows_match(got, want):
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+DENOISERS = ("perfect", "noisy:0.2", "biased:4")
+DIFFUSE_CASES = list(itertools.product((True, False), ("all", "50,50,10", "1,100,37")))
+
+
+@pytest.mark.parametrize("case", range(len(DIFFUSE_CASES)))
+def test_diffuse_chunk_matches_per_scenario_reference(case):
+    clamp, timesteps = DIFFUSE_CASES[case]
+    cfg = cli.RunConfig(clamp=clamp, timesteps=timesteps, seed=100 + case,
+                        scenarios=60).validate()
+    world = cli._build_world(cfg)
+    scen = scenarios(cfg, world)
+    got_rows, got_inside, got_n = cli._diffuse_chunk(cfg, world, scen)
+
+    want = [reference_diffuse_rows(cfg, world, sc) for sc in scen]
+    want_rows = [row for rows, _ in want for row in rows]
+    assert [r[:3] for r in got_rows] == [r[:3] for r in want_rows]
+    assert_rows_match([r[3:] for r in got_rows], [r[3:] for r in want_rows])
+    np.testing.assert_array_equal(got_inside.ravel(), [r[2] == 1 for r in want_rows])
+    np.testing.assert_allclose(got_n, [vecs for _, vecs in want], rtol=1e-12, atol=1e-15)
+    if not clamp and timesteps == "all":
+        # The unclamped process leaves the frustum and goes behind the camera.
+        assert not got_inside.all() and any(math.isnan(r[6]) for r in got_rows)
+
+
+TRAINSIM_CASES = list(itertools.product((True, False), DENOISERS))
+
+
+@pytest.mark.parametrize("case", range(len(TRAINSIM_CASES)))
+def test_trainsim_chunk_matches_per_scenario_reference(case):
+    clamp, denoiser = TRAINSIM_CASES[case]
+    # Unclamped draws reach behind the camera now and then, which aborts the
+    # run; a 30-step schedule has less noise, and these seeds run whole.
+    cfg = cli.RunConfig(clamp=clamp, denoiser=denoiser, seed=200 + case, scenarios=19,
+                        draws=3, steps=100 if clamp else 30, timesteps="all").validate()
+    world = cli._build_world(cfg)
+    scen = scenarios(cfg, world)
+    want = [row for sc in scen for row in reference_trainsim_rows(cfg, world, sc)]
+    got = cli._trainsim_chunk(cfg, world, scen)
+    assert got[:, 0].tolist() == [row[0] for row in want]
+    assert_rows_match(got, want)
+
+
+def test_unclamped_trainsim_chunk_aborts_like_the_reference():
+    cfg = cli.RunConfig(clamp=False, seed=1, scenarios=40, draws=4).validate()
+    world = cli._build_world(cfg)
+    scen = scenarios(cfg, world)
+    with pytest.raises(NonPositiveDepth):
+        [reference_trainsim_rows(cfg, world, sc) for sc in scen]
+    with pytest.raises(NonPositiveDepth):
+        cli._trainsim_chunk(cfg, world, scen)
+
+
+class ScriptedRng:
+    """A real generator, except that its first `bad` draws are `degenerate`."""
+
+    def __init__(self, seed, degenerate, bad):
+        self.rng = np.random.default_rng(seed)
+        self.degenerate, self.bad, self.calls = degenerate, bad, 0
+
+    def standard_normal(self, size):
+        self.calls += 1
+        if self.calls <= self.bad:
+            return self.degenerate.copy()
+        return self.rng.standard_normal(size)
+
+
+def degenerate_eps(sc, t, world):
+    """Noise whose rotation part cancels the first rotation column at timestep t."""
+    sched, norm = world[0], world[1]
+    n0 = normalize(sc.gt_pose, sc.intrinsics, norm).as_vector()
+    eps = np.zeros(9)
+    eps[:3] = -math.sqrt(sched.alpha_bar[t]) * n0[:3] / math.sqrt(1 - sched.alpha_bar[t])
+    return eps
+
+
+def forward_batch(world, scen, t, rngs):
+    sched, norm, scales, box, chain, _ = world
+    obs = Observation.stack([make_observation(sc, chain, 0) for sc in scen])
+    return diffuse(obs.gt_pose, t, sched, scales, box, obs.intrinsics, norm, rngs)
+
+
+@pytest.mark.parametrize("bad", [1, 3])
+def test_only_the_degenerate_row_redraws(bad):
+    cfg = cli.RunConfig(seed=5, scenarios=6).validate()
+    world = cli._build_world(cfg)
+    scen = scenarios(cfg, world)
+    t = np.array([50, 10, 99, 50, 1, 70])
+
+    def scripted():
+        return ScriptedRng(77, degenerate_eps(scen[2], 99, world), bad)
+
+    rngs = [scripted() if i == 2 else np.random.default_rng([9, i]) for i in range(6)]
+
+    got = forward_batch(world, scen, t, rngs)
+    assert rngs[2].calls == bad + 1
+    for i, sc in enumerate(scen):
+        rng = scripted() if i == 2 else np.random.default_rng([9, i])
+        want = reference_forward_draw(sc, int(t[i]), world, rng, True)
+        np.testing.assert_allclose(got.R[i], want.R, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got.t[i], want.t, rtol=1e-12, atol=1e-15)
+        if i != 2:
+            # One 9-vector drawn, exactly as a scenario run alone draws it.
+            fresh = np.random.default_rng([9, i])
+            fresh.standard_normal(9)
+            assert rngs[i].bit_generator.state == fresh.bit_generator.state
+
+
+def test_a_row_out_of_redraws_raises():
+    cfg = cli.RunConfig(seed=5, scenarios=3).validate()
+    world = cli._build_world(cfg)
+    scen = scenarios(cfg, world)
+    rngs = [np.random.default_rng(0), ScriptedRng(1, degenerate_eps(scen[1], 40, world), 17),
+            np.random.default_rng(2)]
+    with pytest.raises(DegenerateRotation6D):
+        forward_batch(world, scen, np.full(3, 40), rngs)

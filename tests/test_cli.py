@@ -16,6 +16,10 @@ def read(path):
         return fh.read()
 
 
+def data_rows(path):
+    return [l for l in read(path).decode().splitlines() if not l.startswith("#")]
+
+
 class TestRunConfig:
     def test_defaults_validate(self):
         RunConfig().validate()
@@ -95,6 +99,24 @@ class TestDiffuseCommand:
             flags.append(want)
         assert len(flags) == 40 * 100 and 0 < sum(flags) < len(flags)
 
+    def test_repeated_timestep_pools_its_columns(self, tmp_path):
+        out = str(tmp_path / "dup")
+        assert main([
+            "diffuse", "--scenarios", "60", "--seed", "3", "--no-clamp",
+            "--timesteps", "100,100,10", "--out", out,
+        ]) == 0
+        summary = json.loads(read(out + ".json"))
+        rows = [row.split(",") for row in data_rows(out + ".csv")[1:]]
+        flags = [int(r[2]) for r in rows]
+        assert summary["in_frustum_rate"] == sum(flags) / len(flags) < 1.0
+        at_100 = [r for r in rows if r[1] == "100"]
+        assert len(at_100) == 120
+        pooled = summary["per_timestep"]["100"]
+        assert pooled["in_frustum_rate"] == sum(int(r[2]) for r in at_100) / 120
+        assert pooled["component_mean"][6:] == pytest.approx(
+            np.mean([[float(x) for x in r[3:6]] for r in at_100], axis=0), rel=1e-12
+        )
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         argv = ["diffuse", "--scenarios", "30", "--seed", "11"]
@@ -155,6 +177,19 @@ class TestEstimateCommand:
         ja = json.loads(read(a + ".json"))
         jb = json.loads(read(b + ".json"))
         assert ja["auc"] == jb["auc"] and ja["mean_add"] == jb["mean_add"]
+        # diffuse and trainsim split their scenarios into the same chunks.
+        for argv in (["diffuse", "--scenarios", "30", "--seed", "8", "--timesteps", "all"],
+                     ["trainsim", "--scenarios", "30", "--seed", "8", "--draws", "3",
+                      "--denoiser", "noisy:0.1"]):
+            outs = []
+            for workers in ("1", "3"):
+                out = str(tmp_path / f"{argv[0]}{workers}")
+                main(argv + ["--workers", workers, "--out", out])
+                summary = json.loads(read(out + ".json"))
+                del summary["metadata"]
+                rows = data_rows(out + ".csv") if argv[0] == "diffuse" else []
+                outs.append((rows, summary))
+            assert outs[0] == outs[1]
 
     def test_trajectory_export(self, tmp_path):
         out = str(tmp_path / "est")

@@ -152,6 +152,10 @@ def test_workers_split_into_contiguous_chunks():
     assert [len(c) for c in cli._chunks(list(range(25)), 3)] == [8, 8, 9]
     assert [len(c) for c in cli._chunks(list(range(4)), 2)] == [4]
     assert sum(cli._chunks(list(range(50)), 4), []) == list(range(50))
+    # Every subcommand caps a chunk at MAX_CHUNK scenarios, with or without workers.
+    assert [len(c) for c in cli._chunks(list(range(1000)), 1)] == [250] * 4
+    assert [len(c) for c in cli._chunks(list(range(513)), 2)] == [171] * 3
+    assert [len(c) for c in cli._chunks(list(range(600)), 8)] == [75] * 8
 
 
 def test_uneven_worker_chunks_give_byte_identical_rows(tmp_path):

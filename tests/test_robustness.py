@@ -1,4 +1,4 @@
-"""Bad estimate configurations exit 2 with one line; non-finite poses are named aborts."""
+"""Bad configurations exit 2 with one line; aborts exit 1 and non-finite poses are named."""
 
 import json
 
@@ -56,3 +56,26 @@ def test_single_scenario_run_raises_non_finite_state(norm_cfg, sched, chain):
     with np.errstate(all="ignore"), pytest.raises(NonFiniteState):
         run_reverse(obs, chain, sched, NoiseScales.for_config(norm_cfg), norm_cfg,
                     ReverseConfig(), BiasedOracle(1e308), scenario_rng(3, 0, 1))
+
+
+@pytest.mark.parametrize("chain", [None, {"link_lengths": [0.3, -0.2]}, {"link_lengths": 3},
+                                   [0.3, 0.2], {"link_lenghts": [0.3, 0.2]}])
+def test_bad_chain_file_exits_2_with_one_line(chain, tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    if chain is not None:
+        path.write_text(json.dumps(chain))
+    out = str(tmp_path / "run")
+    assert main(["estimate", "--scenarios", "2", "--chain", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: chain: ") and err.count("\n") == 1
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_trainsim_abort_exits_1_with_one_line(tmp_path, capsys):
+    out = str(tmp_path / "ts")
+    code = main(["trainsim", "--scenarios", "40", "--draws", "4", "--no-clamp", "--seed", "1",
+                 "--out", out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: recovered depth ") and err.count("\n") == 1
+    assert not (tmp_path / "ts.json").exists()

@@ -63,9 +63,10 @@ from .reverse import (
     ReverseConfig,
     run_direct_regression,
     run_reverse,
+    sigma_squared,
 )
 from .robot_chain import ChainSpec, forward_kinematics, sample_points
-from .se3_camera import CameraIntrinsics, Pose, in_frustum
+from .se3_camera import in_frustum
 
 RNG_SCHEME = "numpy default_rng seeded with [seed, scenario_index, stream]"
 
@@ -126,6 +127,7 @@ class RunConfig:
             (self.init != "previous-estimate" or self.mode == "tracking", "init",
              "previous-estimate needs --mode tracking, which starts from the ground truth"),
             (self.scenarios >= 1, "scenarios", "must be >= 1"),
+            (self.seed >= 0, "seed", "must be >= 0"),
             (self.draws >= 1, "draws", "must be >= 1"),
             (self.per_link >= 1, "per_link", "must be >= 1"),
             (self.workers >= 1, "workers", "must be >= 1"),
@@ -147,15 +149,13 @@ class RunConfig:
             raise InvalidConfig(f"chain: {exc}") from exc
 
     def parse_timesteps(self) -> list[int]:
+        """The --timesteps list; diffuse, its only reader, checks its range."""
         if self.timesteps.strip().lower() == "all":
             return list(range(1, self.steps + 1))
         try:
-            ts = [int(x) for x in self.timesteps.split(",") if x.strip()]
+            return [int(x) for x in self.timesteps.split(",") if x.strip()]
         except ValueError as exc:
             raise InvalidConfig(f"timesteps: not a comma-separated int list: {exc}") from exc
-        if not ts or any(not (1 <= t <= self.steps) for t in ts):
-            raise InvalidConfig(f"timesteps: values must lie in [1, {self.steps}]")
-        return ts
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -182,12 +182,6 @@ def _metadata(cfg: RunConfig, command: str) -> dict:
     }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _write_csv(path: str, meta: dict, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key in ("command", "seed", "version"):
@@ -195,8 +189,9 @@ def _write_csv(path: str, meta: dict, header: list[str], rows) -> None:
         fh.write(f"# config={json.dumps(meta['config'], sort_keys=True)}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        # csv writes each value's str(), which for a float or a numpy float64 is
+        # its shortest round-trip repr.
+        writer.writerows(rows)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -215,8 +210,6 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def cmd_schedule(cfg: RunConfig) -> int:
-    from .reverse import sigma_squared
-
     sched, *_ = _build_world(cfg)
     rows = []
     for t in range(1, cfg.steps + 1):
@@ -259,8 +252,8 @@ def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     """
     sched, norm, scales, box, _, _ = world
     ts = cfg.parse_timesteps()
-    K = CameraIntrinsics.stack([sc.intrinsics for sc in scenarios])
-    n0 = normalize(Pose.stack([sc.gt_pose for sc in scenarios]), K, norm).as_vector()
+    batch = Observation.stack(scenarios)
+    n0 = normalize(batch.gt_pose, batch.intrinsics, norm).as_vector()
     # Each scenario draws one (T, 9) noise block from its own generator.
     eps = np.concatenate([
         scenario_rng(cfg.seed, sc.index, STREAM_DIFFUSE).standard_normal((len(ts), 9))
@@ -268,7 +261,7 @@ def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     ])
     rows = np.repeat(np.arange(len(scenarios)), len(ts))
     t = np.tile(ts, len(scenarios))
-    K = K[rows]
+    K = batch.intrinsics[rows]
     n = diffuse_normalized(n0[rows], t, sched, scales, eps, box if cfg.clamp else None)
     # Rows behind the camera or with a degenerate rotation are recorded in
     # `reasons` instead of raising; in_frustum counts them as outside.
@@ -289,6 +282,8 @@ def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
 
 def cmd_diffuse(cfg: RunConfig) -> int:
     ts = cfg.parse_timesteps()
+    if not ts or any(not (1 <= t <= cfg.steps) for t in ts):
+        raise InvalidConfig(f"timesteps: values must lie in [1, {cfg.steps}]")
     chunks = _run_chunks(cfg, _diffuse_chunk)
     all_rows = [row for rows, _, _ in chunks for row in rows]
     inside = np.concatenate([flags for _, flags, _ in chunks])
@@ -366,20 +361,19 @@ def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios
     the batch, so an exception here is a fault of the run and propagates.
     """
     sched, norm, scales, _, chain, oracle = world
-    record = bool(cfg.trajectories)
     batch = Observation.stack([make_observation(sc, chain, cfg.seed) for sc in scenarios])
     rngs = [scenario_rng(cfg.seed, sc.index, STREAM_ESTIMATE) for sc in scenarios]
     keypoints = np.stack([forward_kinematics(chain, sc.joints) for sc in scenarios])
     if cfg.mode == "direct":
         final, traj = run_direct_regression(
             batch, chain, sched, scales, norm, cfg.ddim_steps + cfg.refine_steps, oracle, rngs,
-            init_mode=cfg.init, keypoints=keypoints, record_poses=record,
+            rcfg=rcfg, keypoints=keypoints,
         )
     else:
         final, traj = run_reverse(
             batch, chain, sched, scales, norm, rcfg, oracle, rngs,
             prev_pose=batch.gt_pose if cfg.mode == "tracking" else None,
-            keypoints=keypoints, record_poses=record,
+            keypoints=keypoints,
         )
     done = traj.reasons == ""
     adds = np.full(len(scenarios), np.inf)
@@ -448,7 +442,7 @@ def _trainsim_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> np.ndarray
     is drawn as in a scenario run alone: per draw, the timestep, the forward
     noise and its redraws, then the oracle's noise."""
     sched, norm, scales, box, chain, oracle = world
-    obs = Observation.stack([make_observation(sc, chain, cfg.seed) for sc in scenarios])
+    obs = Observation.stack(scenarios)
     rngs = [scenario_rng(cfg.seed, sc.index, STREAM_TRAINSIM) for sc in scenarios]
     points = np.stack([sample_points(chain, sc.joints, cfg.per_link) for sc in scenarios])
     draws = []
@@ -562,15 +556,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON value types a config file may give a RunConfig field, by the field's
+# type. They are matched exactly, so that a JSON true is not taken for an int.
+FILE_TYPES = {
+    "bool": (bool,),
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "str | None": (str, type(None)),
+}
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
-        valid = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(file_values) - valid
+        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        unknown = set(file_values) - set(types)
         if unknown:
             raise InvalidConfig(f"config file: unknown fields {sorted(unknown)}")
+        for name, value in file_values.items():
+            if type(value) not in FILE_TYPES[types[name]]:
+                raise InvalidConfig(f"{name}: expected {types[name]}, got {json.dumps(value)}")
         values.update(file_values)
     for f in dataclasses.fields(RunConfig):
         flag_value = getattr(args, f.name, None)

@@ -98,17 +98,13 @@ class Observation:
 
     @classmethod
     def stack(cls, observations) -> "Observation":
-        """One batch from a sequence of single-scenario observations."""
+        """One batch from a sequence of single-scenario observations, or of
+        the `Scenario`s themselves, which have the same fields."""
         return cls(
             Pose.stack([o.gt_pose for o in observations]),
             CameraIntrinsics.stack([o.intrinsics for o in observations]),
             [o.joints for o in observations],
         )
-
-    def __getitem__(self, rows) -> "Observation":
-        """The observations of the selected batch rows."""
-        joints = [self.joints[i] for i in np.arange(len(self.joints))[rows]]
-        return Observation(self.gt_pose[rows], self.intrinsics[rows], joints)
 
 
 def apply_update(

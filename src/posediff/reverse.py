@@ -84,14 +84,14 @@ class TrajectoryStep:
     timestep for scheduled steps, counting down through negative values for
     the refinement tail (which lives past the end of the schedule).
     `cond_t` is the timestep the denoiser was conditioned on. In a batch
-    run `pose` is the batch (None unless poses are recorded) and `add` has
-    one entry per row, NaN for rows aborted before the step.
+    run `pose` is the batch, aborted rows included, and `add` has one entry
+    per row, NaN for rows aborted at or before the step.
     """
 
     index: int
     timestep: int
     cond_t: int
-    pose: Pose | None
+    pose: Pose
     add: float | np.ndarray | None = None
 
 
@@ -100,7 +100,7 @@ class Trajectory:
     """Steps of a reverse run; a batch run also names each row's abort.
 
     `reasons` (batch runs only) holds, per row, the class name of the check
-    that aborted it, or "" for a row that ran every step.
+    that aborted it, or "" for a row that passed every check.
     """
 
     steps: list = field(default_factory=list)
@@ -202,7 +202,7 @@ def _initial_pose(
     if rcfg.init_mode == "previous-estimate":
         if prev_pose is None:
             raise InvalidConfig("previous-estimate init requires prev_pose")
-        return prev_pose.copy()
+        return prev_pose
     if rcfg.init_mode == "prior-sample":
         box = FrustumBox.for_config(cfg, rcfg.margin)
         n = box.clamp(standard_normal(rng) * scales.as_vector())
@@ -225,16 +225,15 @@ def _lockstep(
     rng,
     prev_pose: Pose | None,
     keypoints: np.ndarray,
-    record_poses: bool,
 ) -> tuple[Pose, Trajectory]:
-    """Run every row of `obs` through `plan`, one step at a time.
+    """Run every row of `obs` through every step of `plan`.
 
     Each plan entry is (timestep label, conditioning timestep, DDIM target);
     a target of None is a direct jump to the denoiser's prediction. A single
-    observation runs unbatched and raises at the first failing check. A
-    batch records each row's first failing check in `Trajectory.reasons`,
-    freezes that row and advances the others; rows aborted at the initial
-    pose never run.
+    observation raises at the first failing check. A batch records each row's
+    first failing check in `Trajectory.reasons` and runs the row on; every
+    step works row by row, so the other rows are unaffected, and nothing
+    computed for an aborted row after its abort is reported.
     """
     batched = obs.gt_pose.t.ndim == 2
     reasons = np.full(obs.gt_pose.t.shape[0], "", dtype=object) if batched else None
@@ -242,40 +241,23 @@ def _lockstep(
     with np.errstate(all="ignore"):
         pose = _initial_pose(rcfg, scales, cfg, obs, rng, prev_pose, reasons)
         for index, (label, t, t_prev) in enumerate(plan):
-            if batched:
-                live = np.flatnonzero(reasons == "")
-                if live.size == 0:
-                    break
-                if live.size == len(reasons):
-                    rows, p, o, kp, r, g = slice(None), pose, obs, keypoints, reasons, rng
-                else:
-                    rows, p, o, kp, r = live, pose[live], obs[live], keypoints[live], reasons[live]
-                    g = [rng[i] for i in live]
-            else:
-                p, o, kp, r, g = pose, obs, keypoints, None, rng
-
             if t_prev is None:
-                new = denoise(p, t, o, oracle, g, r)
+                pose = denoise(pose, t, obs, oracle, rng, reasons)
             else:
-                n_t = normalize(p, o.intrinsics, cfg, r)
-                prediction = denoise(p, t, o, oracle, g, r)
-                n0_hat = normalize(prediction, o.intrinsics, cfg, r)
+                n_t = normalize(pose, obs.intrinsics, cfg, reasons)
+                prediction = denoise(pose, t, obs, oracle, rng, reasons)
+                n0_hat = normalize(prediction, obs.intrinsics, cfg, reasons)
                 n_prev = ddim_step(n_t, n0_hat, t, t_prev, sched, rcfg.eta, rcfg.sigma_form)
-                new = denormalize(n_prev, o.intrinsics, cfg, r)
+                pose = denormalize(n_prev, obs.intrinsics, cfg, reasons)
             # A pose with a NaN or an infinity, or one so far out that its ADD
             # overflows, has a non-finite ADD.
-            add = point_distance(o.gt_pose, new, kp)
-            fail_where(~np.isfinite(add), NonFiniteState, r, "pose not finite after step {}", index)
-
+            add = point_distance(obs.gt_pose, pose, keypoints)
+            fail_where(
+                ~np.isfinite(add), NonFiniteState, reasons, "pose not finite after step {}", index
+            )
             if batched:
-                pose.R[rows], pose.t[rows], reasons[rows] = new.R, new.t, r
-                adds = np.full(len(reasons), np.nan)
-                adds[rows] = add
-                add = adds
-            else:
-                pose = new
-            recorded = pose.copy() if record_poses else None
-            traj.append(TrajectoryStep(index, label, t, recorded, add))
+                add = np.where(reasons == "", add, np.nan)
+            traj.append(TrajectoryStep(index, label, t, pose, add))
     return pose, traj
 
 
@@ -296,7 +278,6 @@ def run_reverse(
     rng,
     prev_pose: Pose | None = None,
     keypoints: np.ndarray | None = None,
-    record_poses: bool = True,
 ) -> tuple[Pose, Trajectory]:
     """Full scheduled estimation: DDIM sweep plus direct refinement tail.
 
@@ -309,16 +290,14 @@ def run_reverse(
     For a batch observation (`Observation.stack`), `rng` holds one
     generator per row, `prev_pose` and `keypoints` are batched, and all rows
     advance in lockstep; `Trajectory.reasons` names the rows that aborted.
-    `record_poses=False` leaves the per-step poses out of the trajectory.
+    Each step's `pose` is the whole batch, aborted rows included.
     """
     if keypoints is None:
         keypoints = _keypoints(chain, obs)
     ts = ddim_timesteps(sched.T, rcfg.ddim_steps)
     plan = [(t_prev, t, t_prev) for t, t_prev in zip(ts, ts[1:] + [0])]
     plan += [(-k, 1, None) for k in range(1, rcfg.refine_steps + 1)]
-    return _lockstep(
-        plan, obs, sched, scales, cfg, rcfg, oracle, rng, prev_pose, keypoints, record_poses
-    )
+    return _lockstep(plan, obs, sched, scales, cfg, rcfg, oracle, rng, prev_pose, keypoints)
 
 
 def run_direct_regression(
@@ -330,25 +309,23 @@ def run_direct_regression(
     iterations: int,
     oracle,
     rng,
-    init_mode: str = "canonical",
+    rcfg: ReverseConfig | None = None,
     keypoints: np.ndarray | None = None,
-    record_poses: bool = True,
 ) -> tuple[Pose, Trajectory]:
     """Unscheduled baseline: `iterations` full jumps to the denoiser prediction.
 
     Every call is conditioned at t=1 (no timestep awareness). Trajectory
-    timesteps count down from iterations-1 to 0. Batches and aborts work as
-    in `run_reverse`.
+    timesteps count down from iterations-1 to 0. Of `rcfg` (default
+    `ReverseConfig()`), only the initialization and its margin apply.
+    Batches and aborts work as in `run_reverse`.
 
     Raises:
         InvalidIterationCount: if iterations < 1.
     """
     if iterations < 1:
         raise InvalidIterationCount(f"iterations must be >= 1, got {iterations}")
-    rcfg = ReverseConfig(init_mode=init_mode)
+    rcfg = rcfg or ReverseConfig()
     if keypoints is None:
         keypoints = _keypoints(chain, obs)
     plan = [(iterations - 1 - k, 1, None) for k in range(iterations)]
-    return _lockstep(
-        plan, obs, sched, scales, cfg, rcfg, oracle, rng, None, keypoints, record_poses
-    )
+    return _lockstep(plan, obs, sched, scales, cfg, rcfg, oracle, rng, None, keypoints)

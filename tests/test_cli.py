@@ -345,6 +345,18 @@ class TestConfigHandling:
     def test_invalid_flag_value_exits_2(self, tmp_path):
         assert main(["estimate", "--gamma", "-3", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command", ["schedule", "diffuse", "estimate", "trainsim"])
+    def test_timesteps_range_binds_only_diffuse(self, command, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        code = main([command, "--steps", "50", "--scenarios", "3", "--out", out])
+        if command == "diffuse":
+            # The default --timesteps reaches 100, past the 50 steps.
+            assert code == 2
+            assert capsys.readouterr().err == "error: timesteps: values must lie in [1, 50]\n"
+            assert not list(tmp_path.glob("run*"))
+        else:
+            assert code == 0
+
     def test_chain_file_flag(self, tmp_path):
         from posediff import ChainSpec
 

@@ -4,7 +4,8 @@ The reference below is the per-scenario reverse loop built from the scalar
 primitives, one scenario and one generator at a time, raising at the first
 failing check. The engine runs a whole chunk of scenarios as one batch and
 must agree with it row by row: ADD to 1e-12 relative, and `steps`,
-`aborted` and `reason` exactly.
+`aborted` and `reason` exactly. A finished row's per-step ADDs agree to the
+same tolerance, and an aborted row has no trajectory rows.
 """
 
 import itertools
@@ -60,7 +61,7 @@ class ForcingOracle:
 
 
 def reference_row(cfg, world, rcfg, oracle, sc):
-    """(add, steps, aborted, reason) of one scenario, run on its own."""
+    """(add, steps, aborted, reason, step adds) of one scenario, run on its own."""
     sched, norm, scales, _, chain, _ = world
     obs = make_observation(sc, chain, cfg.seed)
     rng = scenario_rng(cfg.seed, sc.index, STREAM_ESTIMATE)
@@ -70,6 +71,7 @@ def reference_row(cfg, world, rcfg, oracle, sc):
     else:
         ts = ddim_timesteps(sched.T, rcfg.ddim_steps)
         plan = list(zip(ts, ts[1:] + [0])) + [(1, None)] * rcfg.refine_steps
+    step_adds = []
     try:
         if cfg.mode == "tracking":
             pose = sc.gt_pose.copy()
@@ -87,11 +89,12 @@ def reference_row(cfg, world, rcfg, oracle, sc):
                 n0_hat = normalize(denoise(pose, t, obs, oracle, rng), obs.intrinsics, norm)
                 n_prev = ddim_step(n_t, n0_hat, t, t_prev, sched, rcfg.eta, rcfg.sigma_form)
                 pose = denormalize(n_prev, obs.intrinsics, norm)
-            if not np.isfinite(point_distance(obs.gt_pose, pose, kp)):
+            step_adds.append(point_distance(obs.gt_pose, pose, kp))
+            if not np.isfinite(step_adds[-1]):
                 raise NonFiniteState("pose is not finite")
     except ABORTS as exc:
-        return float("inf"), 0, 1, type(exc).__name__
-    return add_metric(sc.gt_pose, pose, kp), len(plan), 0, ""
+        return float("inf"), 0, 1, type(exc).__name__, []
+    return add_metric(sc.gt_pose, pose, kp), len(plan), 0, "", step_adds
 
 
 ORACLES = ("perfect", "noisy", "biased", "forcing")
@@ -118,6 +121,8 @@ def test_lockstep_matches_per_scenario_reference(case):
         refine_steps=int(draw.integers(0, 4)),
         seed=int(draw.integers(0, 1000)),
         scenarios=int(draw.integers(15, 30)),
+        margin=float(draw.uniform(0.0, 0.3)),
+        trajectories="unwritten.csv",
     ).validate()
     world = cli._build_world(cfg)
     if kind == "forcing":
@@ -127,13 +132,19 @@ def test_lockstep_matches_per_scenario_reference(case):
     scen = generate_scenarios(cfg.seed, cfg.scenarios, ScenarioRanges(margin=cfg.margin),
                               world[4], world[1])
 
-    got = [row for row, _ in cli._estimate_chunk(cfg, world, rcfg, scen.scenarios)]
+    results = cli._estimate_chunk(cfg, world, rcfg, scen.scenarios)
+    got = [row for row, _ in results]
     with np.errstate(all="ignore"):
         want = [reference_row(cfg, world, rcfg, oracle, sc) for sc in scen]
 
     assert [r[0] for r in got] == [sc.index for sc in scen]
-    assert [r[2:3] + r[4:] for r in got] == [w[1:] for w in want]
+    assert [r[2:3] + r[4:] for r in got] == [w[1:4] for w in want]
     np.testing.assert_allclose([r[1] for r in got], [w[0] for w in want], rtol=1e-12, atol=1e-15)
+    # Trajectory rows: a finished row's per-step ADDs, an aborted row none.
+    got_steps = [[step[-1] for step in steps] for _, steps in results]
+    assert [len(s) for s in got_steps] == [len(w[4]) for w in want]
+    np.testing.assert_allclose(sum(got_steps, []), sum((w[4] for w in want), []),
+                               rtol=1e-12, atol=1e-15)
 
 
 def test_forcing_oracle_covers_every_abort_kind():

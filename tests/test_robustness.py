@@ -71,6 +71,23 @@ def test_bad_chain_file_exits_2_with_one_line(chain, tmp_path, capsys):
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["schedule", "diffuse", "estimate", "trainsim"])
+@pytest.mark.parametrize("values", [None, {"scenarios": "5"}, {"margin": None}, {"denoiser": 3},
+                                    {"timesteps": 5}, {"clamp": "no"}, {"workers": 2.5}],
+                         ids=["seed-flag", "scenarios", "margin", "denoiser", "timesteps", "clamp",
+                              "workers"])
+def test_bad_config_value_exits_2_with_one_line(command, values, tmp_path, capsys):
+    """`values` is a config file's content; None passes --seed -1 instead."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    flags = ["--seed", "-1"] if values is None else ["--config", str(path)]
+    field = "seed" if values is None else next(iter(values))
+    assert main([command, *flags, "--scenarios", "2", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run*"))
+
+
 def test_trainsim_abort_exits_1_with_one_line(tmp_path, capsys):
     out = str(tmp_path / "ts")
     code = main(["trainsim", "--scenarios", "40", "--draws", "4", "--no-clamp", "--seed", "1",

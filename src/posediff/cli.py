@@ -23,18 +23,20 @@ CSV columns are documented in FORMATS.md and in each subcommand's --help.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import functools
 import json
+import math
 import sys
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .denoising import Observation, decomposed_loss, parse_denoiser, parse_denoiser_spec
+from .denoising import Observation, decomposed_loss, parse_denoiser
 from .errors import ABORTS, InvalidConfig, PoseDiffError
 from .forward_diffusion import (
     FrustumBox,
@@ -111,7 +113,9 @@ class RunConfig:
     timing: bool = False
 
     def validate(self) -> "RunConfig":
-        checks = [
+        checks = [(math.isfinite(getattr(self, f.name)), f.name, "must be finite")
+                  for f in dataclasses.fields(self) if f.type == "float"]
+        checks += [
             (self.steps >= 1, "steps", "must be >= 1"),
             (0 < self.beta_start <= self.beta_end < 1, "beta_start/beta_end",
              "need 0 < beta_start <= beta_end < 1"),
@@ -136,17 +140,9 @@ class RunConfig:
         for ok, fieldname, msg in checks:
             if not ok:
                 raise InvalidConfig(f"{fieldname}: {msg}")
-        parse_denoiser_spec(self.denoiser)
         self.parse_timesteps()
-        self.load_chain()
+        _build_world(self)  # a config that cannot build its world fails here
         return self
-
-    def load_chain(self) -> ChainSpec:
-        """The --chain file's chain, or the default chain without one."""
-        try:
-            return ChainSpec.from_json(self.chain) if self.chain else ChainSpec()
-        except (OSError, ValueError, TypeError) as exc:
-            raise InvalidConfig(f"chain: {exc}") from exc
 
     def parse_timesteps(self) -> list[int]:
         """The --timesteps list; diffuse, its only reader, checks its range."""
@@ -157,17 +153,20 @@ class RunConfig:
         except ValueError as exc:
             raise InvalidConfig(f"timesteps: not a comma-separated int list: {exc}") from exc
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _build_world(cfg: RunConfig):
     """Shared wiring: schedule, normalization, scales, box, chain, oracle."""
     sched = make_linear_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
     norm = NormConfig(c_z=cfg.cz, z_min=cfg.z_min, z_max=cfg.z_max)
-    scales = NoiseScales.for_config(norm, gamma=cfg.gamma)
-    box = FrustumBox.for_config(norm, margin=cfg.margin)
-    chain = cfg.load_chain()
+    try:
+        scales = NoiseScales.for_config(norm, gamma=cfg.gamma)
+        box = FrustumBox.for_config(norm, margin=cfg.margin)
+    except ValueError as exc:
+        raise InvalidConfig(f"gamma/margin: {exc}") from exc
+    try:
+        chain = ChainSpec.from_json(cfg.chain) if cfg.chain else ChainSpec()
+    except (OSError, ValueError, TypeError) as exc:
+        raise InvalidConfig(f"chain: {exc}") from exc
     oracle = parse_denoiser(cfg.denoiser, sched, scales, norm, competence=cfg.competence)
     return sched, norm, scales, box, chain, oracle
 
@@ -175,7 +174,7 @@ def _build_world(cfg: RunConfig):
 def _metadata(cfg: RunConfig, command: str) -> dict:
     return {
         "command": command,
-        "config": cfg.as_dict(),
+        "config": dataclasses.asdict(cfg),
         "seed": cfg.seed,
         "version": __version__,
         "rng_scheme": RNG_SCHEME,
@@ -183,15 +182,15 @@ def _metadata(cfg: RunConfig, command: str) -> dict:
 
 
 def _write_csv(path: str, meta: dict, header: list[str], rows) -> None:
+    """Write the `#` metadata lines, then the header and the rows (tuples, consumed as
+    written) as unquoted `str()` fields ending in CRLF, as csv.writer does for such fields."""
+    fmt = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key in ("command", "seed", "version"):
             fh.write(f"# {key}={meta[key]}\n")
         fh.write(f"# config={json.dumps(meta['config'], sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # csv writes each value's str(), which for a float or a numpy float64 is
-        # its shortest round-trip repr.
-        writer.writerows(rows)
+        fh.write(fmt % tuple(header))
+        fh.writelines(fmt % row for row in rows)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -231,24 +230,26 @@ def _chunks(items: list, workers: int) -> list[list]:
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _run_chunks(cfg: RunConfig, run_chunk) -> list:
+def _run_chunks(cfg: RunConfig, run_chunk) -> Iterator:
     """`run_chunk(cfg, world, chunk)` for each `_chunks` chunk of the run's scenarios,
-    in order, on a thread pool when --workers > 1; every subcommand runs this way."""
+    in order; every subcommand runs this way. Serial runs compute each chunk as
+    the caller reaches it; with --workers > 1 a thread pool computes them all first."""
     world = _build_world(cfg)
     _, norm, _, _, chain, _ = world
     ranges = ScenarioRanges(margin=cfg.margin)
     scen = generate_scenarios(cfg.seed, cfg.scenarios, ranges, chain, norm)
     chunks = _chunks(scen.scenarios, cfg.workers)
+    run = functools.partial(run_chunk, cfg, world)
     if cfg.workers <= 1:
-        return [run_chunk(cfg, world, chunk) for chunk in chunks]
+        return map(run, chunks)
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(lambda chunk: run_chunk(cfg, world, chunk), chunks))
+        return pool.map(run, chunks)
 
 
 def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     """Forward-diffuse a chunk of S scenarios at all T --timesteps as one batch.
 
-    Returns its CSV rows, (S, T) in-frustum flags and (S, T, 9) noised vectors.
+    Returns its CSV rows (one pass), (S, T) in-frustum flags and (S, T, 9) noised vectors.
     """
     sched, norm, scales, box, _, _ = world
     ts = cfg.parse_timesteps()
@@ -273,10 +274,9 @@ def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     u = np.where(behind, np.nan, K.w * n[:, 6] + K.cx)
     v = np.where(behind, np.nan, K.h * n[:, 7] + K.cy)
     index = np.array([sc.index for sc in scenarios])[rows]
-    # Rows of Python values, which print as the numpy values do, only faster.
-    cols = zip(index.tolist(), t.tolist(), inside.tolist(), n[:, 6:].tolist(), u.tolist(),
-               v.tolist())
-    csv_rows = [(i, tj, int(ok), *tn, uj, vj) for i, tj, ok, tn, uj, vj in cols]
+    # Columns of Python values, which print as the numpy values do, only faster.
+    cols = (index, t, inside.astype(int), n[:, 6], n[:, 7], n[:, 8], u, v)
+    csv_rows = zip(*(col.tolist() for col in cols))
     return csv_rows, inside.reshape(len(scenarios), -1), n.reshape(len(scenarios), -1, 9)
 
 
@@ -285,27 +285,32 @@ def cmd_diffuse(cfg: RunConfig) -> int:
     if not ts or any(not (1 <= t <= cfg.steps) for t in ts):
         raise InvalidConfig(f"timesteps: values must lie in [1, {cfg.steps}]")
     chunks = _run_chunks(cfg, _diffuse_chunk)
-    all_rows = [row for rows, _, _ in chunks for row in rows]
-    inside = np.concatenate([flags for _, flags, _ in chunks])
+    kept = []  # each chunk's (flags, vectors), for the summary
 
-    summary_t = {}
-    for t in dict.fromkeys(ts):
-        # A timestep listed more than once pools its columns, scenario by scenario.
-        cols = [j for j, tj in enumerate(ts) if tj == t]
-        vecs = np.concatenate([n[:, cols] for _, _, n in chunks]).reshape(-1, 9)
-        summary_t[str(t)] = {
-            "in_frustum_rate": int(inside[:, cols].sum()) / inside[:, cols].size,
-            "component_mean": vecs.mean(axis=0).tolist(),
-            "component_std": vecs.std(axis=0).tolist(),
-        }
-    rate = int(inside.sum()) / inside.size
+    def rows():
+        for chunk_rows, *arrays in chunks:  # written as each chunk arrives
+            kept.append(arrays)
+            yield from chunk_rows
 
     _write_csv(
         cfg.out + ".csv",
         _metadata(cfg, "diffuse"),
         ["scenario", "t", "in_frustum", "tx_n", "ty_n", "tz_n", "u", "v"],
-        all_rows,
+        rows(),
     )
+    inside = np.concatenate([flags for flags, _ in kept])
+    summary_t = {}
+    for t in dict.fromkeys(ts):
+        # A timestep listed more than once pools its columns, scenario by scenario.
+        cols = [j for j, tj in enumerate(ts) if tj == t]
+        pooled = np.concatenate([n[:, cols] for _, n in kept]).reshape(-1, 9)
+        summary_t[str(t)] = {
+            "in_frustum_rate": int(inside[:, cols].sum()) / inside[:, cols].size,
+            "component_mean": pooled.mean(axis=0).tolist(),
+            "component_std": pooled.std(axis=0).tolist(),
+        }
+    rate = int(inside.sum()) / inside.size
+
     _write_json(
         cfg.out + ".json",
         {
@@ -314,7 +319,7 @@ def cmd_diffuse(cfg: RunConfig) -> int:
             "per_timestep": summary_t,
         },
     )
-    print(f"diffuse: in_frustum_rate={rate:.6f} over {len(all_rows)} samples -> {cfg.out}.csv/.json")
+    print(f"diffuse: in_frustum_rate={rate:.6f} over {inside.size} samples -> {cfg.out}.csv/.json")
     return 0
 
 
@@ -332,33 +337,25 @@ def _estimate_reverse_config(cfg: RunConfig) -> ReverseConfig:
     )
 
 
-def _scenario_rows(cfg: RunConfig, index: int, add: float, reason: str, traj, row: int):
-    """The estimate CSV row of one scenario and its trajectory CSV rows.
-
-    The scenario is row `row` of the batch trajectory `traj`. An aborted
-    scenario has no trajectory rows.
-    """
-    if reason:
-        return (index, float("inf"), 0, cfg.mode, 1, reason), []
-    steps = []
-    if cfg.trajectories:
-        for s in traj.steps:
-            R, t = s.pose.R[row], s.pose.t[row]
-            steps.append(
-                (index, s.index, s.timestep, s.cond_t,
-                 R[0, 0], R[0, 1], R[0, 2], t[0],
-                 R[1, 0], R[1, 1], R[1, 2], t[1],
-                 R[2, 0], R[2, 1], R[2, 2], t[2],
-                 s.add[row])
-            )
-    return (index, add, len(traj), cfg.mode, 0, ""), steps
+def _trajectory_rows(traj, index: np.ndarray, done: np.ndarray) -> Iterator:
+    """Trajectory CSV rows of the `done` rows of a batch trajectory, scenario by
+    scenario, then step by step, built column by column; a one-pass iterator."""
+    steps, n_done = traj.steps, int(done.sum())
+    R = np.stack([s.pose.R[done] for s in steps], axis=1)
+    t = np.stack([s.pose.t[done] for s in steps], axis=1)
+    # [R | t] of each row and step, flattened: r00 r01 r02 tx r10 ... r22 tz.
+    pose_cols = np.concatenate([R, t[..., None]], axis=-1).reshape(-1, 12).T.tolist()
+    add = np.stack([s.add[done] for s in steps], axis=1).ravel().tolist()
+    cols = [[getattr(s, name) for s in steps] * n_done for name in ("index", "timestep", "cond_t")]
+    return zip(np.repeat(index[done], len(steps)).tolist(), *cols, *pose_cols, add)
 
 
-def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios: list) -> list:
+def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios: list) -> tuple:
     """Run one chunk of scenarios as a single lockstep batch.
 
-    Returns `_scenario_rows` for each scenario, in order. Aborts are rows of
-    the batch, so an exception here is a fault of the run and propagates.
+    Returns the estimate CSV row of each scenario, in order, and the chunk's trajectory
+    CSV rows (none without --trajectories or for an aborted scenario). Aborts are rows
+    of the batch, so an exception here is a fault of the run and propagates.
     """
     sched, norm, scales, _, chain, oracle = world
     batch = Observation.stack([make_observation(sc, chain, cfg.seed) for sc in scenarios])
@@ -378,20 +375,23 @@ def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios
     done = traj.reasons == ""
     adds = np.full(len(scenarios), np.inf)
     adds[done] = add_metric(batch.gt_pose[done], final[done], keypoints[done])
-    return [
-        _scenario_rows(cfg, sc.index, adds[j], traj.reasons[j], traj, j)
-        for j, sc in enumerate(scenarios)
+    index = np.array([sc.index for sc in scenarios])
+    rows = [
+        (i, add, len(traj) if ok else 0, cfg.mode, int(not ok), reason)
+        for i, add, ok, reason in zip(index.tolist(), adds.tolist(), done.tolist(), traj.reasons)
     ]
+    return rows, _trajectory_rows(traj, index, done) if cfg.trajectories else ()
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
     rcfg = _estimate_reverse_config(cfg)
     t0 = time.perf_counter()
-    chunks = _run_chunks(cfg, lambda cfg, world, chunk: _estimate_chunk(cfg, world, rcfg, chunk))
-    results = [result for chunk in chunks for result in chunk]
+    chunks = list(
+        _run_chunks(cfg, lambda cfg, world, chunk: _estimate_chunk(cfg, world, rcfg, chunk))
+    )
     elapsed = time.perf_counter() - t0
 
-    rows = [r for r, _ in results]
+    rows = [row for chunk_rows, _ in chunks for row in chunk_rows]
     adds = [r[1] for r in rows]
     aborted = sum(r[4] for r in rows)
     finite = [a for a in adds if np.isfinite(a)]
@@ -418,14 +418,13 @@ def cmd_estimate(cfg: RunConfig) -> int:
     _write_json(cfg.out + ".json", summary)
 
     if cfg.trajectories:
-        traj_rows = [step for _, steps in results for step in steps]
         _write_csv(
             cfg.trajectories,
             _metadata(cfg, "estimate"),
             ["scenario", "step", "timestep", "cond_t",
              "r00", "r01", "r02", "tx", "r10", "r11", "r12", "ty",
              "r20", "r21", "r22", "tz", "add"],
-            traj_rows,
+            (row for _, traj_rows in chunks for row in traj_rows),
         )
 
     print(
@@ -457,7 +456,7 @@ def _trainsim_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> np.ndarray
 
 
 def cmd_trainsim(cfg: RunConfig) -> int:
-    arr = np.concatenate(_run_chunks(cfg, _trainsim_chunk))
+    arr = np.concatenate(list(_run_chunks(cfg, _trainsim_chunk)))
     n_bins = min(10, cfg.steps)
     edges = np.linspace(1, cfg.steps + 1, n_bins + 1)
     bins = []

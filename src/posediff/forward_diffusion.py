@@ -104,8 +104,8 @@ class NoiseScales:
     gamma: float = 3.0
 
     def __post_init__(self):
-        if min(self.s_rot, self.s_xy, self.s_z, self.gamma) <= 0:
-            raise ValueError("all noise scales must be positive")
+        if not all(0 < s < np.inf for s in (self.s_rot, self.s_xy, self.s_z, self.gamma)):
+            raise ValueError("all noise scales must be positive and finite")
 
     @classmethod
     def for_config(cls, cfg: NormConfig, gamma: float = 3.0) -> "NoiseScales":

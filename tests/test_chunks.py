@@ -110,6 +110,7 @@ def test_diffuse_chunk_matches_per_scenario_reference(case):
     world = cli._build_world(cfg)
     scen = scenarios(cfg, world)
     got_rows, got_inside, got_n = cli._diffuse_chunk(cfg, world, scen)
+    got_rows = list(got_rows)
 
     want = [reference_diffuse_rows(cfg, world, sc) for sc in scen]
     want_rows = [row for rows, _ in want for row in rows]

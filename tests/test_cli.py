@@ -1,5 +1,6 @@
 """CLI harness tests: subcommands, determinism, config validation."""
 
+import csv
 import json
 import os
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from posediff import ChainSpec, NormConfig, Pose, ScenarioRanges, generate_scenarios, in_frustum
+from posediff import cli
 from posediff.cli import RunConfig, main
-from posediff.errors import InvalidConfig
+from posediff.errors import ABORTS, InvalidConfig, NonFiniteState
+from posediff.reverse import MODES
 
 
 def read(path):
@@ -368,3 +371,52 @@ class TestConfigHandling:
             "--out", out,
         ]) == 0
         assert json.loads(read(out + ".json"))["auc"] == pytest.approx(100.0, abs=0.01)
+
+
+class TestCsvWriter:
+    """`cli._write_csv` formats rows itself; its bytes must be csv.writer's."""
+
+    HEADER = ["a", "b", "c", "d", "e", "f", "g"]
+    ROWS = [
+        (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16, 0.1),
+        (np.float64(0.1), np.float64("nan"), np.float64("-inf"), np.float64(-0.0),
+         np.float64(5e-324), np.float64(1e16), 1 / 3),
+        (True, False, 257, 10**20, -300, np.int64(65537), np.bool_(True)),
+        # An empty last field, as in an estimate row that did not abort.
+        (0, 1.5e-7, 10, "ddim", 0, 2.220446049250313e-16, ""),
+    ]
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        meta = cli._metadata(RunConfig(), "estimate")
+        cli._write_csv(str(path), meta, self.HEADER, iter(self.ROWS))
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(self.HEADER)
+            writer.writerows(self.ROWS)
+        lines = read(path).splitlines(keepends=True)
+        assert all(l.endswith(b"\n") and not l.endswith(b"\r\n") for l in lines[:4])
+        assert all(l.startswith(b"#") for l in lines[:4])
+        assert b"".join(lines[4:]) == read(tmp_path / "ref.csv")
+
+    def test_every_csv_string_is_quote_free(self, tmp_path, monkeypatch):
+        """No header or string field holds a character csv would quote, so
+        writing fields unquoted gives csv's bytes."""
+        strings = [*MODES, *(exc.__name__ for exc in (*ABORTS, NonFiniteState))]
+        write = cli._write_csv
+
+        def spy(path, meta, header, rows):
+            rows = list(rows)
+            strings.extend(header)
+            strings.extend(v for row in rows for v in row if isinstance(v, str))
+            write(path, meta, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        out = str(tmp_path / "run")
+        assert main(["schedule", "--steps", "5", "--out", out]) == 0
+        assert main(["diffuse", "--scenarios", "2", "--out", out]) == 0
+        for mode in MODES:
+            main(["estimate", "--scenarios", "4", "--mode", mode, "--denoiser", "biased:3e156",
+                  "--seed", "2", "--trajectories", out + "_traj.csv", "--out", out])
+        assert {"t", "in_frustum", "reason", "r22", "NonFiniteState"} <= set(strings)
+        assert all(not set(s) & set(',"\r\n') for s in strings)

@@ -1,0 +1,52 @@
+"""Golden CSV bytes: the data lines of small runs, pinned by their sha256.
+
+The digests cover every line that does not start with `#` (the header and
+the data rows, with their `\\r\\n` endings), so they pin the exact text of each
+value across changes to the engine or the writer, not only across reruns of
+one tree. The `#` metadata lines carry the package version and are left out.
+"""
+
+import hashlib
+
+import pytest
+
+from posediff.cli import main
+
+# (argv, exit code, {output file: sha256 of its non-# lines})
+GOLDEN = {
+    # The unclamped process goes behind the camera: NaN u/v rows.
+    "diffuse-no-clamp": (
+        ["diffuse", "--scenarios", "40", "--timesteps", "all", "--no-clamp", "--seed", "5"], 0,
+        {"run.csv": "341e74770e18735cc661c920721c3445b164dfae77b8a1db172983f6df9428eb"},
+    ),
+    # A repeated timestep and three worker chunks.
+    "diffuse-workers": (
+        ["diffuse", "--scenarios", "30", "--timesteps", "50,50,10", "--workers", "3",
+         "--seed", "3"], 0,
+        {"run.csv": "78edae6d40b2081cc363475f145e89ebeced5e95f6429ed8841e57286c6fcb86"},
+    ),
+    # Partial aborts: 17 of 60 rows abort and have no trajectory rows.
+    "estimate-partial-aborts": (
+        ["estimate", "--scenarios", "60", "--seed", "2", "--denoiser", "biased:3e156",
+         "--trajectories", "{tmp}/traj.csv"], 1,
+        {"run.csv": "4e238037630680d1a93228f480f3b7ad62d3c20baaa730ef858ff8175c6f6592",
+         "traj.csv": "67d8db7ea07cbceb34238436004d2cf0b8597f9e036c8fd791af04216d85e755"},
+    ),
+    "schedule-standard": (
+        ["schedule", "--sigma-form", "standard", "--eta", "0.5"], 0,
+        {"run.csv": "ce66fb9a32d6ada53218a31402b6f4957eea849ce43e8753c756faf143945049"},
+    ),
+}
+
+
+def data_digest(path) -> str:
+    lines = path.read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"#"))).hexdigest()
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_csv_data_lines_match_golden_digest(name, tmp_path):
+    argv, code, digests = GOLDEN[name]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == code
+    assert {f: data_digest(tmp_path / f) for f in digests} == digests

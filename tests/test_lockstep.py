@@ -132,8 +132,8 @@ def test_lockstep_matches_per_scenario_reference(case):
     scen = generate_scenarios(cfg.seed, cfg.scenarios, ScenarioRanges(margin=cfg.margin),
                               world[4], world[1])
 
-    results = cli._estimate_chunk(cfg, world, rcfg, scen.scenarios)
-    got = [row for row, _ in results]
+    got, traj_rows = cli._estimate_chunk(cfg, world, rcfg, scen.scenarios)
+    traj_rows = list(traj_rows)
     with np.errstate(all="ignore"):
         want = [reference_row(cfg, world, rcfg, oracle, sc) for sc in scen]
 
@@ -141,7 +141,7 @@ def test_lockstep_matches_per_scenario_reference(case):
     assert [r[2:3] + r[4:] for r in got] == [w[1:4] for w in want]
     np.testing.assert_allclose([r[1] for r in got], [w[0] for w in want], rtol=1e-12, atol=1e-15)
     # Trajectory rows: a finished row's per-step ADDs, an aborted row none.
-    got_steps = [[step[-1] for step in steps] for _, steps in results]
+    got_steps = [[step[-1] for step in traj_rows if step[0] == sc.index] for sc in scen]
     assert [len(s) for s in got_steps] == [len(w[4]) for w in want]
     np.testing.assert_allclose(sum(got_steps, []), sum((w[4] for w in want), []),
                                rtol=1e-12, atol=1e-15)
@@ -154,8 +154,9 @@ def test_forcing_oracle_covers_every_abort_kind():
         world = cli._build_world(cfg)
         world = (*world[:5], ForcingOracle(world[5], t_from=40))
         scen = generate_scenarios(cfg.seed, cfg.scenarios, cfg=world[1])
-        rows = cli._estimate_chunk(cfg, world, cli._estimate_reverse_config(cfg), scen.scenarios)
-        reasons.update(row[5] for row, _ in rows)
+        rows, _ = cli._estimate_chunk(cfg, world, cli._estimate_reverse_config(cfg),
+                                      scen.scenarios)
+        reasons.update(row[5] for row in rows)
     assert reasons == {"", *(exc.__name__ for exc in ABORTS)}
 
 

@@ -88,6 +88,24 @@ def test_bad_config_value_exits_2_with_one_line(command, values, tmp_path, capsy
     assert not list(tmp_path.glob("run*"))
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--gamma", "inf"], "gamma"),
+    (["--z-max", "inf"], "z_max"),
+    (["--eta", "inf"], "eta"),
+    (["--competence", "inf"], "competence"),
+    (["--eta", "inf", "--sigma-form", "standard"], "eta"),
+    (["--cz", "nan"], "cz"),
+    # Finite, but its noise scales overflow.
+    (["--gamma", "1e-320"], "gamma/margin"),
+], ids=["gamma-inf", "z-max-inf", "eta-inf", "competence-inf", "eta-inf-standard", "cz-nan",
+        "gamma-tiny"])
+def test_non_finite_config_value_exits_2_with_one_line(flags, field, tmp_path, capsys):
+    assert main(["estimate", "--scenarios", "20", *flags, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run*"))
+
+
 def test_trainsim_abort_exits_1_with_one_line(tmp_path, capsys):
     out = str(tmp_path / "ts")
     code = main(["trainsim", "--scenarios", "40", "--draws", "4", "--no-clamp", "--seed", "1",

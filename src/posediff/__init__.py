@@ -55,13 +55,6 @@ from .reverse import (
     sigma_squared,
 )
 from .robot_chain import ChainSpec, JointConfig, forward_kinematics, sample_points
-from .se3_camera import (
-    CameraIntrinsics,
-    Pose,
-    gram_schmidt_6d,
-    in_frustum,
-    project_point,
-    project_points,
-)
+from .se3_camera import CameraIntrinsics, Pose, gram_schmidt_6d, in_frustum
 
 __version__ = "0.1.0"

@@ -571,6 +571,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise InvalidConfig("config file: the top level must be a JSON object")
         types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
         unknown = set(file_values) - set(types)
         if unknown:

@@ -56,26 +56,18 @@ _IDENTITY_ROT6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 class DenoiserOutput:
     """Prediction triplet (v_xy pixels, dr6 rotation columns, v_z depth ratio).
 
-    For a batch of N poses the fields are (N, 2), (N, 6) and (N,) arrays.
+    For a batch of N poses the fields are (N, 2), (N, 6) and (N,) arrays; for
+    a single pose they are (2,), (6,) and 0-d arrays.
     """
 
     v_xy: np.ndarray
     dr6: np.ndarray
-    v_z: float | np.ndarray
+    v_z: np.ndarray
 
     def __post_init__(self):
-        if getattr(self.v_z, "ndim", 0) == 0:
-            self.v_xy = np.asarray(self.v_xy, dtype=float).reshape(2)
-            self.dr6 = np.asarray(self.dr6, dtype=float).reshape(6)
-            self.v_z = float(self.v_z)
-        else:
-            self.v_z = np.asarray(self.v_z, dtype=float)
-            self.v_xy = np.asarray(self.v_xy, dtype=float).reshape(self.v_z.shape + (2,))
-            self.dr6 = np.asarray(self.dr6, dtype=float).reshape(self.v_z.shape + (6,))
-
-    @classmethod
-    def identity(cls) -> "DenoiserOutput":
-        return cls(np.zeros(2), _IDENTITY_ROT6.copy(), 1.0)
+        self.v_xy = np.asarray(self.v_xy, dtype=float)
+        self.dr6 = np.asarray(self.dr6, dtype=float)
+        self.v_z = np.asarray(self.v_z, dtype=float)
 
 
 @dataclass
@@ -151,11 +143,11 @@ def compute_gt_targets(
     return DenoiserOutput(v_xy, dr6, v_z)
 
 
-def point_distance(pose_a: Pose, pose_b: Pose, points: np.ndarray) -> float | np.ndarray:
+def point_distance(pose_a: Pose, pose_b: Pose, points: np.ndarray) -> np.ndarray:
     """Mean Euclidean distance between the two transforms of a point set.
 
-    Batched poses give one distance per row; `points` is then (K, 3) or
-    (N, K, 3).
+    Single poses give a numpy scalar. Batched poses give one distance per
+    row; `points` is then (K, 3) or (N, K, 3).
 
     Raises:
         EmptyPointSet: on an empty point list.
@@ -166,8 +158,7 @@ def point_distance(pose_a: Pose, pose_b: Pose, points: np.ndarray) -> float | np
     if pts.shape[-2] == 0:
         raise EmptyPointSet("point set is empty")
     diff = pose_a.transform(pts) - pose_b.transform(pts)
-    dist = np.mean(np.linalg.norm(diff, axis=-1), axis=-1)
-    return float(dist) if dist.ndim == 0 else dist
+    return np.mean(np.linalg.norm(diff, axis=-1), axis=-1)
 
 
 def decomposed_loss(
@@ -241,7 +232,7 @@ class NoisyOracle:
         window = self.competence * level
         v_xy, dr6, v_z = exact.v_xy, exact.dr6, exact.v_z
         limited = deviation > window
-        if limited.any() if isinstance(limited, np.ndarray) else limited:
+        if limited.any():
             c = window / deviation
             rows = limited[..., None]
             v_xy = np.where(rows, c[..., None] * v_xy, v_xy)

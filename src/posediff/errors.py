@@ -24,10 +24,6 @@ class NonFiniteState(PoseDiffError):
     """A reverse-process pose became infinite or NaN."""
 
 
-class BehindCamera(PoseDiffError):
-    """Point has non-positive depth and cannot be projected."""
-
-
 class NonPositiveDepth(PoseDiffError):
     """Pose depth (t.z) must be strictly positive for this operation."""
 

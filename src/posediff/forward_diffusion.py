@@ -40,15 +40,6 @@ class Schedule:
     beta: np.ndarray
     alpha_bar: np.ndarray
 
-    def validate(self) -> "Schedule":
-        if self.T < 1 or self.beta.shape != (self.T,) or self.alpha_bar.shape != (self.T + 1,):
-            raise InvalidScheduleParams("inconsistent schedule array sizes")
-        if not (np.all(self.beta > 0) and np.all(self.beta < 1)):
-            raise InvalidScheduleParams("beta values must lie in (0, 1)")
-        if self.alpha_bar[0] != 1.0 or np.any(np.diff(self.alpha_bar) >= 0):
-            raise InvalidScheduleParams("alpha_bar must start at 1 and strictly decrease")
-        return self
-
 
 def make_linear_schedule(
     T: int = 100,

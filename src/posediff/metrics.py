@@ -38,11 +38,12 @@ def scenario_rng(seed: int, index: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, index, stream])
 
 
-def add_metric(gt: Pose, pred: Pose, keypoints: np.ndarray) -> float | np.ndarray:
+def add_metric(gt: Pose, pred: Pose, keypoints: np.ndarray) -> np.ndarray:
     """Mean keypoint distance between the two poses, in meters.
 
     Kept independent of `denoising.point_distance` so the two serve as
-    cross-checks. Batched poses with (N, K, 3) keypoints give one ADD per row.
+    cross-checks. Single poses give a numpy scalar; batched poses with
+    (N, K, 3) keypoints give one ADD per row.
 
     Raises:
         EmptyPointSet: on an empty keypoint list.
@@ -55,8 +56,7 @@ def add_metric(gt: Pose, pred: Pose, keypoints: np.ndarray) -> float | np.ndarra
     cols = np.swapaxes(pts, -1, -2)
     a = np.swapaxes(gt.R @ cols, -1, -2) + gt.t[..., None, :]
     b = np.swapaxes(pred.R @ cols, -1, -2) + pred.t[..., None, :]
-    add = np.sqrt(((a - b) ** 2).sum(axis=-1)).mean(axis=-1)
-    return float(add) if add.ndim == 0 else add
+    return np.sqrt(((a - b) ** 2).sum(axis=-1)).mean(axis=-1)
 
 
 def auc(
@@ -117,15 +117,10 @@ class Scenario:
 
 @dataclass
 class ScenarioSet:
-    seed: int
-    count: int
     scenarios: list
 
     def __iter__(self):
         return iter(self.scenarios)
-
-    def __len__(self):
-        return len(self.scenarios)
 
 
 def generate_scenarios(
@@ -170,7 +165,7 @@ def generate_scenarios(
             except DegenerateRotation6D:
                 continue
         scenarios.append(Scenario(index=i, intrinsics=intrinsics, joints=joints, gt_pose=gt))
-    return ScenarioSet(seed=seed, count=count, scenarios=scenarios)
+    return ScenarioSet(scenarios)
 
 
 def make_observation(scenario: Scenario, chain: ChainSpec, seed: int) -> Observation:

@@ -63,8 +63,6 @@ class NormalizedPose:
 
     def __post_init__(self):
         self.rot6 = np.asarray(self.rot6, dtype=float)
-        if getattr(self.tz_n, "ndim", 0) == 0:
-            self.rot6 = self.rot6.reshape(6)
 
     def as_vector(self) -> np.ndarray:
         """Pack into the canonical 9-vector layout [rot6 | tx_n, ty_n, tz_n]."""
@@ -79,9 +77,6 @@ class NormalizedPose:
     def from_vector(cls, vec: np.ndarray) -> "NormalizedPose":
         """Unpack a 9-vector, or an (N, 9) batch of them."""
         vec = np.asarray(vec, dtype=float)
-        if vec.ndim < 2:
-            vec = vec.reshape(9)
-            return cls(vec[:6].copy(), float(vec[6]), float(vec[7]), float(vec[8]))
         return cls(vec[..., :6].copy(), vec[..., 6].copy(), vec[..., 7].copy(), vec[..., 8].copy())
 
 

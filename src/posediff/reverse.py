@@ -109,12 +109,6 @@ class Trajectory:
     def append(self, step: TrajectoryStep) -> None:
         self.steps.append(step)
 
-    def timesteps(self) -> list[int]:
-        return [s.timestep for s in self.steps]
-
-    def adds(self) -> list[float]:
-        return [s.add for s in self.steps]
-
     def __len__(self) -> int:
         return len(self.steps)
 

@@ -42,6 +42,15 @@ def _axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     )
 
 
+def _json_value(value, key: str, types: tuple = (int, float)):
+    """`value`, read from the chain file's `key`, as the last of `types`."""
+    # Types match exactly, so that a JSON true is not taken for 1 nor a string for a number.
+    if type(value) not in types:
+        kind = "an integer" if types == (int,) else "a number"
+        raise ValueError(f"{key}: expected {kind}, got {json.dumps(value)}")
+    return types[-1](value)
+
+
 @dataclass
 class ChainSpec:
     """Geometry of the synthetic arm: link lengths (meters) and joint axes."""
@@ -67,9 +76,6 @@ class ChainSpec:
             if abs(np.linalg.norm(ax) - 1.0) > 1e-9:
                 raise ValueError(f"joint axis {ax} is not unit-norm")
 
-    def reach(self) -> float:
-        return float(sum(self.link_lengths))
-
     @classmethod
     def from_json(cls, path: str) -> "ChainSpec":
         with open(path, "r", encoding="utf-8") as fh:
@@ -79,22 +85,17 @@ class ChainSpec:
             raise ValueError(f"a chain file is a JSON object with keys among {sorted(fields)}")
         kwargs = {}
         if "n_joints" in data:
-            kwargs["n_joints"] = int(data["n_joints"])
+            kwargs["n_joints"] = _json_value(data["n_joints"], "n_joints", (int,))
         if "link_lengths" in data:
-            kwargs["link_lengths"] = tuple(float(x) for x in data["link_lengths"])
+            kwargs["link_lengths"] = tuple(
+                _json_value(x, "link_lengths") for x in data["link_lengths"]
+            )
             kwargs.setdefault("n_joints", len(kwargs["link_lengths"]))
         if "joint_axes" in data:
-            kwargs["joint_axes"] = tuple(tuple(float(x) for x in ax) for ax in data["joint_axes"])
+            kwargs["joint_axes"] = tuple(
+                tuple(_json_value(x, "joint_axes") for x in ax) for ax in data["joint_axes"]
+            )
         return cls(**kwargs)
-
-    def to_json(self, path: str) -> None:
-        data = {
-            "n_joints": self.n_joints,
-            "link_lengths": list(self.link_lengths),
-            "joint_axes": [list(ax) for ax in self.joint_axes],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
 
 
 @dataclass

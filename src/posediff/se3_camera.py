@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateRotation6D, EmptyPointSet, fail_where
+from .errors import DegenerateRotation6D, fail_where
 
 # Norm below which a 6D rotation input is treated as degenerate.
 GS_EPS = 1e-8
@@ -38,8 +38,8 @@ class Pose:
     """Rigid transform: 3x3 orientation `R` plus translation `t` in meters.
 
     A batch of N poses carries a leading axis: `R` is (N, 3, 3) and `t` is
-    (N, 3). The pose-level functions of the reverse process accept either
-    form; `matrix`, `rotation_error` and `validate` take a single pose.
+    (N, 3). The pose-level functions accept either form; where a batch gives
+    one value per row, a single pose gives a numpy scalar.
     """
 
     R: np.ndarray
@@ -64,13 +64,6 @@ class Pose:
         """First two columns of R, concatenated into a length-6 vector."""
         return np.concatenate([self.R[..., 0], self.R[..., 1]], axis=-1)
 
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous matrix [[R, t], [0, 1]]."""
-        H = np.eye(4)
-        H[:3, :3] = self.R
-        H[:3, 3] = self.t
-        return H
-
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply the transform to (K, 3) points; a batch gives (N, K, 3).
 
@@ -78,16 +71,6 @@ class Pose:
         """
         pts = np.asarray(points, dtype=float)
         return pts @ self.R.swapaxes(-1, -2) + self.t[..., None, :]
-
-    def rotation_error(self) -> float:
-        """Max deviation of R from SO(3): orthonormality plus determinant."""
-        ortho = np.abs(self.R.T @ self.R - np.eye(3)).max()
-        return max(ortho, abs(np.linalg.det(self.R) - 1.0))
-
-    def validate(self, atol: float = 1e-9) -> "Pose":
-        if self.rotation_error() > atol:
-            raise ValueError("R is not a rotation matrix within tolerance")
-        return self
 
     def copy(self) -> "Pose":
         return Pose(self.R.copy(), self.t.copy())
@@ -108,8 +91,7 @@ class CameraIntrinsics:
     h: int
 
     def __post_init__(self):
-        fields = (self.f, self.w, self.h)
-        if not all(np.all(v > 0) if isinstance(v, np.ndarray) else v > 0 for v in fields):
+        if not all(np.all(v > 0) for v in (self.f, self.w, self.h)):
             raise ValueError("f, w, h must all be positive")
 
     @property
@@ -129,11 +111,6 @@ class CameraIntrinsics:
     def __getitem__(self, rows) -> "CameraIntrinsics":
         """The cameras of the selected batch rows."""
         return CameraIntrinsics(self.f[rows], self.w[rows], self.h[rows])
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.f, 0.0, self.cx], [0.0, self.f, self.cy], [0.0, 0.0, 1.0]]
-        )
 
 
 def gram_schmidt_6d(r6: np.ndarray, reasons: np.ndarray | None = None) -> np.ndarray:
@@ -182,42 +159,15 @@ def gram_schmidt_6d(r6: np.ndarray, reasons: np.ndarray | None = None) -> np.nda
     return R
 
 
-def project_point(p: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Pinhole projection of a camera-frame point (meters) to pixels.
-
-    Raises:
-        BehindCamera: if p.z <= 0.
-    """
-    p = np.asarray(p, dtype=float).reshape(3)
-    if p[2] <= 0:
-        raise BehindCamera(f"point depth {p[2]} is not positive")
-    u = intrinsics.f * (p[0] / p[2]) + intrinsics.cx
-    v = intrinsics.f * (p[1] / p[2]) + intrinsics.cy
-    return np.array([u, v])
-
-
-def project_points(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Batched projection of (N, 3) camera-frame points to (N, 2) pixels."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        raise EmptyPointSet("no points to project")
-    if np.any(pts[:, 2] <= 0):
-        raise BehindCamera("at least one point has non-positive depth")
-    uv = pts[:, :2] / pts[:, 2:3]
-    uv = uv * intrinsics.f
-    uv[:, 0] += intrinsics.cx
-    uv[:, 1] += intrinsics.cy
-    return uv
-
-
 def in_frustum(
     pose: Pose,
     intrinsics: CameraIntrinsics,
     margin: float = 0.05,
     z_range: tuple[float, float] = (0.3, 3.0),
-) -> bool | np.ndarray:
+) -> np.ndarray:
     """True iff the pose's translation projects inside the margin-shrunk image
-    and its depth lies in `z_range`; a batch of poses gives one flag per row.
+    and its depth lies in `z_range`; a batch of poses gives one flag per row,
+    a single pose a numpy bool scalar.
 
     Boundary comparisons carry a small tolerance so values clamped exactly to
     the frustum boundary count as inside. A pose behind the camera is False,
@@ -236,4 +186,4 @@ def in_frustum(
         & (margin * intrinsics.h - FRUSTUM_TOL <= v)
         & (v <= (1.0 - margin) * intrinsics.h + FRUSTUM_TOL)
     )
-    return bool(inside) if np.ndim(inside) == 0 else inside
+    return inside

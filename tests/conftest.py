@@ -47,6 +47,12 @@ def random_pose(rng, z_range=(0.4, 2.8), xy_scale=0.3):
     return Pose(R, t)
 
 
+def rotation_error(R):
+    """Max deviation of R from SO(3): orthonormality plus determinant."""
+    ortho = np.abs(R.T @ R - np.eye(3)).max()
+    return max(ortho, abs(np.linalg.det(R) - 1.0))
+
+
 @pytest.fixture
 def make_pose():
     return random_pose

@@ -361,10 +361,9 @@ class TestConfigHandling:
             assert code == 0
 
     def test_chain_file_flag(self, tmp_path):
-        from posediff import ChainSpec
-
         chain_path = str(tmp_path / "chain.json")
-        ChainSpec(n_joints=4, link_lengths=(0.4, 0.3, 0.2, 0.1)).to_json(chain_path)
+        with open(chain_path, "w", encoding="utf-8") as fh:
+            json.dump({"n_joints": 4, "link_lengths": [0.4, 0.3, 0.2, 0.1]}, fh)
         out = str(tmp_path / "run")
         assert main([
             "estimate", "--chain", chain_path, "--scenarios", "5", "--seed", "3",

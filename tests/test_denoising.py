@@ -9,6 +9,7 @@ from posediff import (
     FrustumBox,
     NoiseScales,
     NoisyOracle,
+    Observation,
     PerfectOracle,
     apply_update,
     compute_gt_targets,
@@ -30,7 +31,7 @@ from conftest import random_pose
 class TestApplyUpdate:
     def test_identity_output_is_fixed_point(self, intrinsics):
         pose = random_pose(np.random.default_rng(0))
-        out = apply_update(pose, DenoiserOutput.identity(), intrinsics)
+        out = apply_update(pose, DenoiserOutput(np.zeros(2), [1, 0, 0, 0, 1, 0], 1.0), intrinsics)
         np.testing.assert_allclose(out.R, pose.R, atol=1e-15)
         np.testing.assert_allclose(out.t, pose.t, atol=1e-15)
 
@@ -51,7 +52,7 @@ class TestApplyUpdate:
 
         pose = posediff.Pose(np.eye(3), [0, 0, -1.0])
         with pytest.raises(NonPositiveDepth):
-            apply_update(pose, DenoiserOutput.identity(), intrinsics)
+            apply_update(pose, DenoiserOutput(np.zeros(2), [1, 0, 0, 0, 1, 0], 1.0), intrinsics)
 
 
 class TestComputeGtTargets:
@@ -211,24 +212,23 @@ class TestOracles:
 
     def test_noisy_error_grows_with_timestep(self, world, sched, norm_cfg, chain):
         # regression of mean prediction error against the schedule's noise
-        # level, 10k draws per timestep
+        # level, 10k draws per timestep; draw k uses scenario k mod 40 and its
+        # own generator, and each timestep runs its draws as one batch
         scales, scen, obs = world
         oracle = NoisyOracle(0.1, sched, scales, norm_cfg)
         box = FrustumBox.for_config(norm_cfg)
         draws_per_t = 10_000
         levels, means = [], []
-        keypoints = [forward_kinematics(chain, sc.joints) for sc in scen]
+        rows = np.arange(draws_per_t) % len(scen.scenarios)
+        batch = Observation.stack([obs[i] for i in rows])
+        keypoints = np.stack([forward_kinematics(chain, sc.joints) for sc in scen])[rows]
         for t in (1, 25, 50, 75, 100):
-            errs = np.empty(draws_per_t)
-            for k in range(draws_per_t):
-                i = k % len(scen.scenarios)
-                sc, ob = scen.scenarios[i], obs[i]
-                rng = np.random.default_rng([13, t, k])
-                pose_t = diffuse(
-                    sc.gt_pose, t, sched, scales, box, sc.intrinsics, norm_cfg, rng
-                )
-                pred = denoise(pose_t, t, ob, oracle, rng)
-                errs[k] = point_distance(sc.gt_pose, pred, keypoints[i])
+            rngs = [np.random.default_rng([13, t, k]) for k in range(draws_per_t)]
+            pose_t = diffuse(
+                batch.gt_pose, t, sched, scales, box, batch.intrinsics, norm_cfg, rngs
+            )
+            pred = denoise(pose_t, t, batch, oracle, rngs)
+            errs = point_distance(batch.gt_pose, pred, keypoints)
             levels.append(np.sqrt(1 - sched.alpha_bar[t]))
             means.append(errs.mean())
         assert all(means[i] < means[i + 1] for i in range(len(means) - 1))

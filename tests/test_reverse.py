@@ -147,7 +147,7 @@ class TestRunReverse:
             observations[0], chain, sched, scales, norm_cfg, rcfg, PerfectOracle(),
             scenario_rng(31, 0, 1),
         )
-        ts = traj.timesteps()
+        ts = [s.timestep for s in traj.steps]
         assert ts == [80, 60, 40, 20, 0, -1, -2, -3, -4, -5]
         assert all(a > b for a, b in zip(ts, ts[1:]))
 
@@ -160,7 +160,7 @@ class TestRunReverse:
             observations[1], chain, sched, scales, norm_cfg, rcfg, PerfectOracle(),
             scenario_rng(31, 1, 1),
         )
-        adds = traj.adds()
+        adds = [s.add for s in traj.steps]
         assert all(a >= b - 1e-12 for a, b in zip(adds[1:], adds[2:]))
         assert adds[-1] < 1e-9
 
@@ -232,7 +232,7 @@ class TestDirectRegression:
         )
         kp = forward_kinematics(chain, sc.joints)
         assert add_metric(sc.gt_pose, final, kp) < 1e-9
-        assert traj.timesteps() == [0]
+        assert [s.timestep for s in traj.steps] == [0]
 
     def test_zero_iterations_rejected(self, world, sched, norm_cfg, chain):
         scales, scen, observations = world
@@ -248,7 +248,7 @@ class TestDirectRegression:
             observations[0], chain, sched, scales, norm_cfg, 4, PerfectOracle(),
             scenario_rng(31, 0, 1),
         )
-        assert traj.timesteps() == [3, 2, 1, 0]
+        assert [s.timestep for s in traj.steps] == [3, 2, 1, 0]
 
     def test_noisy_paired_comparison_favors_scheduled_pipeline(
         self, world, sched, norm_cfg, chain

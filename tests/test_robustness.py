@@ -59,7 +59,10 @@ def test_single_scenario_run_raises_non_finite_state(norm_cfg, sched, chain):
 
 
 @pytest.mark.parametrize("chain", [None, {"link_lengths": [0.3, -0.2]}, {"link_lengths": 3},
-                                   [0.3, 0.2], {"link_lenghts": [0.3, 0.2]}])
+                                   [0.3, 0.2], {"link_lenghts": [0.3, 0.2]},
+                                   {"n_joints": 2.7, "link_lengths": [0.3, 0.2]},
+                                   {"link_lengths": ["0.3", True]},
+                                   {"n_joints": True, "link_lengths": [0.3]}])
 def test_bad_chain_file_exits_2_with_one_line(chain, tmp_path, capsys):
     path = tmp_path / "chain.json"
     if chain is not None:
@@ -85,6 +88,16 @@ def test_bad_config_value_exits_2_with_one_line(command, values, tmp_path, capsy
     assert main([command, *flags, "--scenarios", "2", "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run*"))
+
+
+@pytest.mark.parametrize("values", [[], 5, None, ["scenarios"]])
+def test_config_file_not_an_object_exits_2_with_one_line(values, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("run*"))
 
 

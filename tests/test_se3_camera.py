@@ -1,17 +1,10 @@
-"""Tests for pose/camera primitives: Gram-Schmidt, projection, frustum, intrinsics."""
+"""Tests for pose/camera primitives: Gram-Schmidt, frustum, intrinsics."""
 
 import numpy as np
 import pytest
 
-from posediff import (
-    CameraIntrinsics,
-    Pose,
-    gram_schmidt_6d,
-    in_frustum,
-    project_point,
-    project_points,
-)
-from posediff.errors import BehindCamera, DegenerateRotation6D, EmptyPointSet
+from posediff import CameraIntrinsics, Pose, gram_schmidt_6d, in_frustum
+from posediff.errors import DegenerateRotation6D
 
 
 def reference_gram_schmidt(r6):
@@ -74,46 +67,6 @@ class TestGramSchmidt:
         np.testing.assert_allclose(R, np.eye(3), atol=1e-12)
 
 
-class TestProjectPoint:
-    def test_optical_axis_hits_principal_point(self, intrinsics):
-        np.testing.assert_allclose(
-            project_point([0, 0, 1.5], intrinsics), [320.0, 240.0]
-        )
-
-    def test_hand_computed_pixel(self, intrinsics):
-        # u = 600 * 0.64 / 1.2 + 320 = 640
-        u, v = project_point([0.64, 0.0, 1.2], intrinsics)
-        assert u == pytest.approx(640.0, abs=1e-12)
-        assert v == pytest.approx(240.0, abs=1e-12)
-
-    def test_behind_camera_raises(self, intrinsics):
-        with pytest.raises(BehindCamera):
-            project_point([0, 0, -1.0], intrinsics)
-        with pytest.raises(BehindCamera):
-            project_point([0.1, 0.1, 0.0], intrinsics)
-
-    def test_depth_scale_covariance(self, intrinsics):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            p = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.2, 3)])
-            base = project_point(p, intrinsics)
-            for lam in (0.5, 2.0, 3.7):
-                np.testing.assert_allclose(project_point(lam * p, intrinsics), base, atol=1e-12)
-
-    def test_batch_matches_scalar(self, intrinsics):
-        rng = np.random.default_rng(6)
-        pts = np.column_stack([
-            rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10), rng.uniform(0.2, 3, 10)
-        ])
-        uv = project_points(pts, intrinsics)
-        for i in range(10):
-            np.testing.assert_allclose(uv[i], project_point(pts[i], intrinsics), atol=0)
-
-    def test_empty_batch_raises(self, intrinsics):
-        with pytest.raises(EmptyPointSet):
-            project_points(np.zeros((0, 3)), intrinsics)
-
-
 class TestInFrustum:
     def test_centered_pose_inside(self, intrinsics):
         assert in_frustum(Pose(np.eye(3), [0, 0, 1.5]), intrinsics, margin=0.0)
@@ -154,17 +107,6 @@ class TestCameraIntrinsics:
 
 
 class TestPose:
-    def test_matrix_layout(self, make_pose):
-        pose = make_pose(np.random.default_rng(1))
-        H = pose.matrix()
-        np.testing.assert_array_equal(H[:3, :3], pose.R)
-        np.testing.assert_array_equal(H[:3, 3], pose.t)
-        np.testing.assert_array_equal(H[3], [0, 0, 0, 1])
-
-    def test_validate_rejects_non_rotation(self):
-        with pytest.raises(ValueError):
-            Pose(2 * np.eye(3), [0, 0, 1]).validate()
-
     def test_rot6_roundtrip(self, make_pose):
         pose = make_pose(np.random.default_rng(2))
         np.testing.assert_allclose(gram_schmidt_6d(pose.rot6()), pose.R, atol=1e-12)

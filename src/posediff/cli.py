@@ -23,6 +23,7 @@ CSV columns are documented in FORMATS.md and in each subcommand's --help.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import functools
 import json
@@ -231,9 +232,9 @@ def _chunks(items: list, workers: int) -> list[list]:
 
 
 def _run_chunks(cfg: RunConfig, run_chunk) -> Iterator:
-    """`run_chunk(cfg, world, chunk)` for each `_chunks` chunk of the run's scenarios,
-    in order; every subcommand runs this way. Serial runs compute each chunk as
-    the caller reaches it; with --workers > 1 a thread pool computes them all first."""
+    """`run_chunk(cfg, world, chunk)` for each `_chunks` chunk of the run's scenarios, in
+    order as the caller reaches it, on a thread pool with --workers > 1. The world and the
+    scenarios are built at once, so a bad config fails before any output is opened."""
     world = _build_world(cfg)
     _, norm, _, _, chain, _ = world
     ranges = ScenarioRanges(margin=cfg.margin)
@@ -242,8 +243,19 @@ def _run_chunks(cfg: RunConfig, run_chunk) -> Iterator:
     run = functools.partial(run_chunk, cfg, world)
     if cfg.workers <= 1:
         return map(run, chunks)
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return pool.map(run, chunks)
+    return _pool_map(run, chunks, cfg.workers)
+
+
+def _pool_map(fn, items: list, workers: int) -> Iterator:
+    """`map(fn, items)` on `workers` threads with at most `workers` items in flight,
+    so that memory holds those results and the one being consumed, not all of them."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        in_flight = collections.deque(pool.submit(fn, item) for item in items[:workers])
+        for item in items[workers:]:
+            yield in_flight.popleft().result()
+            in_flight.append(pool.submit(fn, item))
+        while in_flight:
+            yield in_flight.popleft().result()
 
 
 def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
@@ -443,7 +455,7 @@ def _trainsim_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> np.ndarray
     sched, norm, scales, box, chain, oracle = world
     obs = Observation.stack(scenarios)
     rngs = [scenario_rng(cfg.seed, sc.index, STREAM_TRAINSIM) for sc in scenarios]
-    points = np.stack([sample_points(chain, sc.joints, cfg.per_link) for sc in scenarios])
+    points = sample_points(chain, obs.joints, cfg.per_link)
     draws = []
     for _ in range(cfg.draws):
         t = np.array([sample_timestep(sched, rng) for rng in rngs])

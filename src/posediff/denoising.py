@@ -78,24 +78,24 @@ class Observation:
     camera, the joint configuration, and the projected 2D keypoints.
     Keypoints behind the camera are stored as NaN rows.
 
-    A batch (`Observation.stack`) holds a batched `gt_pose` and `intrinsics`
-    and a list of joint configurations; no estimator reads the 2D keypoints,
-    so a batch leaves them out.
+    A batch (`Observation.stack`) holds a batched `gt_pose`, `intrinsics`
+    and `joints`, whose angles are (N, J); no estimator reads the 2D
+    keypoints, so a batch leaves them out.
     """
 
     gt_pose: Pose
     intrinsics: CameraIntrinsics
-    joints: JointConfig | list
+    joints: JointConfig
     keypoints_2d: np.ndarray | None = None
 
     @classmethod
     def stack(cls, observations) -> "Observation":
         """One batch from a sequence of single-scenario observations, or of
-        the `Scenario`s themselves, which have the same fields."""
+        the `Scenario`s themselves, which have the same fields; angles stack to (N, J)."""
         return cls(
             Pose.stack([o.gt_pose for o in observations]),
             CameraIntrinsics.stack([o.intrinsics for o in observations]),
-            [o.joints for o in observations],
+            JointConfig(np.stack([o.joints.angles for o in observations])),
         )
 
 
@@ -143,6 +143,21 @@ def compute_gt_targets(
     return DenoiserOutput(v_xy, dr6, v_z)
 
 
+def _point_set(points: np.ndarray) -> np.ndarray:
+    """`points` as a float (K, 3) or (N, K, 3) array; EmptyPointSet if it is empty."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2:
+        pts = pts.reshape(-1, 3)
+    if pts.shape[-2] == 0:
+        raise EmptyPointSet("point set is empty")
+    return pts
+
+
+def _mean_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean Euclidean distance between corresponding rows of two point sets."""
+    return np.mean(np.linalg.norm(a - b, axis=-1), axis=-1)
+
+
 def point_distance(pose_a: Pose, pose_b: Pose, points: np.ndarray) -> np.ndarray:
     """Mean Euclidean distance between the two transforms of a point set.
 
@@ -152,13 +167,8 @@ def point_distance(pose_a: Pose, pose_b: Pose, points: np.ndarray) -> np.ndarray
     Raises:
         EmptyPointSet: on an empty point list.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim < 2:
-        pts = pts.reshape(-1, 3)
-    if pts.shape[-2] == 0:
-        raise EmptyPointSet("point set is empty")
-    diff = pose_a.transform(pts) - pose_b.transform(pts)
-    return np.mean(np.linalg.norm(diff, axis=-1), axis=-1)
+    pts = _point_set(points)
+    return _mean_distance(pose_a.transform(pts), pose_b.transform(pts))
 
 
 def decomposed_loss(
@@ -174,13 +184,15 @@ def decomposed_loss(
     the other two replaced by their ground-truth targets, so a term responds
     only to errors in its own component.
     """
+    pts = _point_set(points)
+    gt_pts = pose0.transform(pts)  # shared by the three terms
     gt = compute_gt_targets(pose_t, pose0, intrinsics)
     pose_xy = apply_update(pose_t, DenoiserOutput(out.v_xy, gt.dr6, gt.v_z), intrinsics)
     pose_rot = apply_update(pose_t, DenoiserOutput(gt.v_xy, out.dr6, gt.v_z), intrinsics)
     pose_z = apply_update(pose_t, DenoiserOutput(gt.v_xy, gt.dr6, out.v_z), intrinsics)
-    loss_xy = point_distance(pose0, pose_xy, points)
-    loss_rot = point_distance(pose0, pose_rot, points)
-    loss_z = point_distance(pose0, pose_z, points)
+    loss_xy = _mean_distance(gt_pts, pose_xy.transform(pts))
+    loss_rot = _mean_distance(gt_pts, pose_rot.transform(pts))
+    loss_z = _mean_distance(gt_pts, pose_z.transform(pts))
     return loss_xy, loss_rot, loss_z, loss_xy + loss_rot + loss_z
 
 

@@ -255,12 +255,6 @@ def _lockstep(
     return pose, traj
 
 
-def _keypoints(chain: ChainSpec, obs: Observation) -> np.ndarray:
-    if isinstance(obs.joints, list):
-        return np.stack([forward_kinematics(chain, j) for j in obs.joints])
-    return forward_kinematics(chain, obs.joints)
-
-
 def run_reverse(
     obs: Observation,
     chain: ChainSpec,
@@ -287,7 +281,7 @@ def run_reverse(
     Each step's `pose` is the whole batch, aborted rows included.
     """
     if keypoints is None:
-        keypoints = _keypoints(chain, obs)
+        keypoints = forward_kinematics(chain, obs.joints)
     ts = ddim_timesteps(sched.T, rcfg.ddim_steps)
     plan = [(t_prev, t, t_prev) for t, t_prev in zip(ts, ts[1:] + [0])]
     plan += [(-k, 1, None) for k in range(1, rcfg.refine_steps + 1)]
@@ -320,6 +314,6 @@ def run_direct_regression(
         raise InvalidIterationCount(f"iterations must be >= 1, got {iterations}")
     rcfg = rcfg or ReverseConfig()
     if keypoints is None:
-        keypoints = _keypoints(chain, obs)
+        keypoints = forward_kinematics(chain, obs.joints)
     plan = [(iterations - 1 - k, 1, None) for k in range(iterations)]
     return _lockstep(plan, obs, sched, scales, cfg, rcfg, oracle, rng, None, keypoints)

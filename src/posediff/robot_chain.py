@@ -10,13 +10,12 @@ land in a realistic meters range.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-
-_EXTENSION_AXIS = np.array([1.0, 0.0, 0.0])
 
 _DEFAULT_LENGTHS = (0.33, 0.32, 0.21, 0.21, 0.18, 0.11, 0.10)
 
@@ -28,18 +27,16 @@ def _default_axes(n: int) -> tuple[tuple[float, float, float], ...]:
     )
 
 
-def _axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
-    x, y, z = axis
-    c, s = np.cos(angle), np.sin(angle)
+def _axis_angle_matrices(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Rodrigues rotations about unit axes (J, 3) by angles (..., J), shape (..., J, 3, 3)."""
+    x, y, z = axes.T
+    c, s = np.cos(angles), np.sin(angles)
     C = 1.0 - c
-    return np.array(
-        [
-            [c + x * x * C, x * y * C - z * s, x * z * C + y * s],
-            [y * x * C + z * s, c + y * y * C, y * z * C - x * s],
-            [z * x * C - y * s, z * y * C + x * s, c + z * z * C],
-        ]
-    )
+    M = np.empty(angles.shape + (3, 3))
+    M[..., 0, 0], M[..., 0, 1], M[..., 0, 2] = c + x * x * C, x * y * C - z * s, x * z * C + y * s
+    M[..., 1, 0], M[..., 1, 1], M[..., 1, 2] = y * x * C + z * s, c + y * y * C, y * z * C - x * s
+    M[..., 2, 0], M[..., 2, 1], M[..., 2, 2] = z * x * C - y * s, z * y * C + x * s, c + z * z * C
+    return M
 
 
 def _json_value(value, key: str, types: tuple = (int, float)):
@@ -70,10 +67,11 @@ class ChainSpec:
             raise ValueError(
                 f"expected {self.n_joints} joint axes, got {len(self.joint_axes)}"
             )
-        if any(l <= 0 for l in self.link_lengths):
-            raise ValueError("link lengths must be positive")
+        if not all(0 < l < math.inf for l in self.link_lengths):
+            raise ValueError("link lengths must be positive and finite")
         for ax in self.joint_axes:
-            if abs(np.linalg.norm(ax) - 1.0) > 1e-9:
+            # Written so that a NaN component fails the comparison and is rejected.
+            if not abs(np.linalg.norm(ax) - 1.0) <= 1e-9:
                 raise ValueError(f"joint axis {ax} is not unit-norm")
 
     @classmethod
@@ -100,12 +98,12 @@ class ChainSpec:
 
 @dataclass
 class JointConfig:
-    """Joint angles in radians."""
+    """Joint angles in radians: (J,) for one configuration, (N, J) for a batch."""
 
     angles: np.ndarray
 
     def __post_init__(self):
-        self.angles = np.asarray(self.angles, dtype=float).reshape(-1)
+        self.angles = np.atleast_1d(np.asarray(self.angles, dtype=float))
         if not np.all(np.isfinite(self.angles)):
             raise ValueError("joint angles must be finite")
 
@@ -118,21 +116,24 @@ def forward_kinematics(spec: ChainSpec, joints: JointConfig) -> np.ndarray:
     """Joint keypoints of the chain in the robot base frame, shape (n+1, 3).
 
     Keypoint 0 sits at the origin; keypoint i+1 extends keypoint i by link i
-    rotated through the composition of joints 1..i+1.
+    rotated through the composition of joints 1..i+1. Batched angles (N, n)
+    give (N, n+1, 3), each row as it would alone.
 
     Raises:
         DimensionMismatch: if the angle count differs from n_joints.
     """
-    if joints.angles.shape[0] != spec.n_joints:
+    angles = joints.angles
+    if angles.shape[-1] != spec.n_joints:
         raise DimensionMismatch(
-            f"chain has {spec.n_joints} joints, got {joints.angles.shape[0]} angles"
+            f"chain has {spec.n_joints} joints, got {angles.shape[-1]} angles"
         )
-    keypoints = np.zeros((spec.n_joints + 1, 3))
+    M = _axis_angle_matrices(np.asarray(spec.joint_axes, dtype=float), angles)
+    keypoints = np.zeros(angles.shape[:-1] + (spec.n_joints + 1, 3))
     R = np.eye(3)
-    for i in range(spec.n_joints):
-        axis = np.asarray(spec.joint_axes[i], dtype=float)
-        R = R @ _axis_angle_matrix(axis, joints.angles[i])
-        keypoints[i + 1] = keypoints[i] + R @ (_EXTENSION_AXIS * spec.link_lengths[i])
+    for i, length in enumerate(spec.link_lengths):
+        R = R @ M[..., i, :, :]
+        # Link i lies along +X before rotation, so it points along R's first column.
+        keypoints[..., i + 1, :] = keypoints[..., i, :] + R[..., :, 0] * length
     return keypoints
 
 
@@ -141,14 +142,15 @@ def sample_points(spec: ChainSpec, joints: JointConfig, per_link: int = 9) -> np
 
     Deterministic: the same (spec, joints) always yields the same points.
     Interior points sit at fractions k/(per_link+1), k = 1..per_link, so
-    per_link=1 gives midpoints. Total count is (n+1) + n*per_link.
+    per_link=1 gives midpoints. Total count is P = (n+1) + n*per_link, so the
+    shape is (P, 3), or (N, P, 3) for batched angles (N, n).
     """
     if per_link < 1:
         raise ValueError("per_link must be >= 1")
     keypoints = forward_kinematics(spec, joints)
     fracs = np.arange(1, per_link + 1) / (per_link + 1)
-    segments = []
-    for i in range(spec.n_joints):
-        a, b = keypoints[i], keypoints[i + 1]
-        segments.append(a + fracs[:, None] * (b - a))
-    return np.vstack([keypoints] + segments)
+    a, b = keypoints[..., :-1, None, :], keypoints[..., 1:, None, :]
+    interior = a + fracs[:, None] * (b - a)
+    return np.concatenate(
+        [keypoints, interior.reshape(keypoints.shape[:-2] + (-1, 3))], axis=-2
+    )

@@ -11,6 +11,8 @@ agree exactly and floats to 1e-12 relative.
 
 import itertools
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -214,3 +216,37 @@ def test_a_row_out_of_redraws_raises():
             np.random.default_rng(2)]
     with pytest.raises(DegenerateRotation6D):
         forward_batch(world, scen, np.full(3, 40), rngs)
+
+
+def test_trainsim_chunk_samples_points_once(monkeypatch):
+    cfg = cli.RunConfig(seed=3, scenarios=19, draws=2).validate()
+    world = cli._build_world(cfg)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_points(*args)
+
+    monkeypatch.setattr(cli, "sample_points", counted)
+    cli._trainsim_chunk(cfg, world, scenarios(cfg, world))
+    assert len(calls) == 1
+
+
+def test_run_chunks_keeps_at_most_workers_chunks_in_flight():
+    # More than 2 * MAX_CHUNK scenarios, so two workers get six chunks.
+    cfg = cli.RunConfig(seed=3, scenarios=1300, workers=2).validate()
+    started, lock = [], threading.Lock()
+
+    def record(cfg, world, chunk):
+        with lock:
+            started.append(chunk[0].index)
+            k = len(started)
+        time.sleep(0.03 if k % 2 else 0.0)  # the first of each pair finishes second
+        return chunk[0].index
+
+    results = cli._run_chunks(cfg, record)
+    first = next(results)
+    assert len(started) <= cfg.workers + 1
+    want = [chunk[0] for chunk in cli._chunks(list(range(cfg.scenarios)), cfg.workers)]
+    assert len(want) == 6
+    assert [first, *results] == want

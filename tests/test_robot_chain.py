@@ -78,6 +78,47 @@ class TestSamplePoints:
         np.testing.assert_allclose(d1, d0, atol=1e-12)
 
 
+TILTED_CHAIN = ChainSpec(n_joints=3, link_lengths=(0.5, 0.4, 0.3),
+                         joint_axes=((0.0, 0.6, 0.8), (1.0, 0.0, 0.0), (0.0, 0.6, 0.8)))
+
+
+def batch_angles(n_joints):
+    """Rows of 0, -0.0, pi and -pi at every joint, then random rows."""
+    special = [np.zeros(n_joints), -np.zeros(n_joints), np.full(n_joints, np.pi),
+               np.full(n_joints, -np.pi)]
+    rows = np.random.default_rng(4).uniform(-np.pi, np.pi, (60, n_joints))
+    return np.concatenate([special, rows])
+
+
+class TestBatchedKinematics:
+    """An (N, J) batch of joint angles gives each row's single-configuration result."""
+
+    @pytest.mark.parametrize("spec", [ChainSpec(), TILTED_CHAIN], ids=["default", "tilted"])
+    def test_forward_kinematics_matches_rows(self, spec):
+        angles = batch_angles(spec.n_joints)
+        got = forward_kinematics(spec, JointConfig(angles))
+        want = np.stack([forward_kinematics(spec, JointConfig(a)) for a in angles])
+        assert got.shape == (len(angles), spec.n_joints + 1, 3)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", [ChainSpec(), TILTED_CHAIN], ids=["default", "tilted"])
+    @pytest.mark.parametrize("per_link", [1, 9])
+    def test_sample_points_matches_rows(self, spec, per_link):
+        angles = batch_angles(spec.n_joints)
+        got = sample_points(spec, JointConfig(angles), per_link)
+        want = np.stack([sample_points(spec, JointConfig(a), per_link) for a in angles])
+        assert got.shape == (len(angles), spec.n_joints + 1 + spec.n_joints * per_link, 3)
+        assert np.array_equal(got, want)
+
+    def test_wrong_angle_count_in_a_batch_raises(self, chain):
+        with pytest.raises(DimensionMismatch):
+            forward_kinematics(chain, JointConfig(np.zeros((5, chain.n_joints + 1))))
+
+    def test_joint_config_keeps_its_shape(self):
+        assert JointConfig(np.zeros((5, 7))).angles.shape == (5, 7)
+        assert JointConfig([0.1, 0.2]).angles.shape == (2,)
+
+
 class TestChainSpec:
     def test_defaults_are_franka_scale(self):
         chain = ChainSpec()

@@ -35,7 +35,6 @@ from .forward_diffusion import (
 )
 from .metrics import (
     Scenario,
-    ScenarioRanges,
     ScenarioSet,
     add_metric,
     auc,

@@ -48,10 +48,11 @@ from .forward_diffusion import (
     sample_timestep,
 )
 from .metrics import (
+    FOCAL_RANGE,
+    IMAGE_SIZES,
     STREAM_DIFFUSE,
     STREAM_ESTIMATE,
     STREAM_TRAINSIM,
-    ScenarioRanges,
     add_metric,
     auc,
     generate_scenarios,
@@ -114,6 +115,7 @@ class RunConfig:
     timing: bool = False
 
     def validate(self) -> "RunConfig":
+        """Check each field; `main` then builds the world, which checks the rest."""
         checks = [(math.isfinite(getattr(self, f.name)), f.name, "must be finite")
                   for f in dataclasses.fields(self) if f.type == "float"]
         checks += [
@@ -142,7 +144,6 @@ class RunConfig:
             if not ok:
                 raise InvalidConfig(f"{fieldname}: {msg}")
         self.parse_timesteps()
-        _build_world(self)  # a config that cannot build its world fails here
         return self
 
     def parse_timesteps(self) -> list[int]:
@@ -164,6 +165,12 @@ def _build_world(cfg: RunConfig):
         box = FrustumBox.for_config(norm, margin=cfg.margin)
     except ValueError as exc:
         raise InvalidConfig(f"gamma/margin: {exc}") from exc
+    # The nearest in-box depth, (z_min - cz) + cz, must not cancel to zero, and the farthest
+    # in-view translation (widest image, shortest focal length) needs a finite squared norm.
+    far = box.z_bound[1] + norm.c_z
+    t = [(size * far / FOCAL_RANGE[0]) * box.xy_bound for size in max(IMAGE_SIZES)] + [far]
+    if not (box.z_bound[0] + norm.c_z > 0 and math.isfinite(sum(v * v for v in t))):
+        raise InvalidConfig(f"cz: depths {cfg.z_min} < {cfg.cz} < {cfg.z_max} are too far apart")
     try:
         chain = ChainSpec.from_json(cfg.chain) if cfg.chain else ChainSpec()
     except (OSError, ValueError, TypeError) as exc:
@@ -209,8 +216,8 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-def cmd_schedule(cfg: RunConfig) -> int:
-    sched, *_ = _build_world(cfg)
+def cmd_schedule(cfg: RunConfig, world: tuple) -> int:
+    sched, *_ = world
     rows = []
     for t in range(1, cfg.steps + 1):
         s2 = sigma_squared(sched, t, t - 1, cfg.eta, cfg.sigma_form)
@@ -231,14 +238,12 @@ def _chunks(items: list, workers: int) -> list[list]:
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _run_chunks(cfg: RunConfig, run_chunk) -> Iterator:
+def _run_chunks(cfg: RunConfig, world: tuple, run_chunk) -> Iterator:
     """`run_chunk(cfg, world, chunk)` for each `_chunks` chunk of the run's scenarios, in
-    order as the caller reaches it, on a thread pool with --workers > 1. The world and the
-    scenarios are built at once, so a bad config fails before any output is opened."""
-    world = _build_world(cfg)
-    _, norm, _, _, chain, _ = world
-    ranges = ScenarioRanges(margin=cfg.margin)
-    scen = generate_scenarios(cfg.seed, cfg.scenarios, ranges, chain, norm)
+    order as the caller reaches it, on a thread pool with --workers > 1. The scenarios are
+    drawn at once, inside the world's frustum box, which `main` built before any output."""
+    _, norm, _, box, chain, _ = world
+    scen = generate_scenarios(cfg.seed, cfg.scenarios, box, chain, norm)
     chunks = _chunks(scen.scenarios, cfg.workers)
     run = functools.partial(run_chunk, cfg, world)
     if cfg.workers <= 1:
@@ -292,11 +297,11 @@ def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     return csv_rows, inside.reshape(len(scenarios), -1), n.reshape(len(scenarios), -1, 9)
 
 
-def cmd_diffuse(cfg: RunConfig) -> int:
+def cmd_diffuse(cfg: RunConfig, world: tuple) -> int:
     ts = cfg.parse_timesteps()
     if not ts or any(not (1 <= t <= cfg.steps) for t in ts):
         raise InvalidConfig(f"timesteps: values must lie in [1, {cfg.steps}]")
-    chunks = _run_chunks(cfg, _diffuse_chunk)
+    chunks = _run_chunks(cfg, world, _diffuse_chunk)
     kept = []  # each chunk's (flags, vectors), for the summary
 
     def rows():
@@ -395,15 +400,30 @@ def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios
     return rows, _trajectory_rows(traj, index, done) if cfg.trajectories else ()
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
+def cmd_estimate(cfg: RunConfig, world: tuple) -> int:
     rcfg = _estimate_reverse_config(cfg)
     t0 = time.perf_counter()
-    chunks = list(
-        _run_chunks(cfg, lambda cfg, world, chunk: _estimate_chunk(cfg, world, rcfg, chunk))
-    )
+    chunks = _run_chunks(cfg, world, lambda c, w, chunk: _estimate_chunk(c, w, rcfg, chunk))
+    rows = []  # every scenario's estimate row, for the CSV and the summary
+
+    def traj_rows():
+        for chunk_rows, chunk_traj in chunks:  # written as each chunk arrives
+            rows.extend(chunk_rows)
+            yield from chunk_traj
+
+    traj = traj_rows()
+    if cfg.trajectories:
+        _write_csv(
+            cfg.trajectories,
+            _metadata(cfg, "estimate"),
+            ["scenario", "step", "timestep", "cond_t",
+             "r00", "r01", "r02", "tx", "r10", "r11", "r12", "ty",
+             "r20", "r21", "r22", "tz", "add"],
+            traj,
+        )
+    collections.deque(traj, maxlen=0)  # runs the chunks that no trajectory CSV consumed
     elapsed = time.perf_counter() - t0
 
-    rows = [row for chunk_rows, _ in chunks for row in chunk_rows]
     adds = [r[1] for r in rows]
     aborted = sum(r[4] for r in rows)
     finite = [a for a in adds if np.isfinite(a)]
@@ -428,16 +448,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
         rows,
     )
     _write_json(cfg.out + ".json", summary)
-
-    if cfg.trajectories:
-        _write_csv(
-            cfg.trajectories,
-            _metadata(cfg, "estimate"),
-            ["scenario", "step", "timestep", "cond_t",
-             "r00", "r01", "r02", "tx", "r10", "r11", "r12", "ty",
-             "r20", "r21", "r22", "tz", "add"],
-            (row for _, traj_rows in chunks for row in traj_rows),
-        )
 
     print(
         f"estimate[{cfg.mode}/{cfg.denoiser}]: AUC={summary['auc']:.3f} "
@@ -467,8 +477,8 @@ def _trainsim_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> np.ndarray
     return np.array(draws, dtype=float).transpose(2, 0, 1).reshape(-1, 5)
 
 
-def cmd_trainsim(cfg: RunConfig) -> int:
-    arr = np.concatenate(list(_run_chunks(cfg, _trainsim_chunk)))
+def cmd_trainsim(cfg: RunConfig, world: tuple) -> int:
+    arr = np.concatenate(list(_run_chunks(cfg, world, _trainsim_chunk)))
     n_bins = min(10, cfg.steps)
     edges = np.linspace(1, cfg.steps + 1, n_bins + 1)
     bins = []
@@ -613,11 +623,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
+        world = _build_world(cfg)
     except (PoseDiffError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](cfg, world)
     except PoseDiffError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # A scenario abort is a failed run, not a bad configuration.

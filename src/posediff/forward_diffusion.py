@@ -113,14 +113,14 @@ class NoiseScales:
 
 @dataclass
 class FrustumBox:
-    """Bounds for the translation components of a normalized pose."""
+    """A run's in-view region: bounds on the translation components of a normalized pose."""
 
     xy_bound: float = 0.45
     z_bound: tuple[float, float] = (-1.2, 1.5)
 
     def __post_init__(self):
-        if self.xy_bound <= 0:
-            raise ValueError("xy_bound must be positive")
+        if not (0 < self.xy_bound <= 0.5):
+            raise ValueError(f"xy_bound must be in (0, 0.5], got {self.xy_bound}")
         if self.z_bound[0] >= self.z_bound[1]:
             raise ValueError("z interval is empty")
 

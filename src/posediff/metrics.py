@@ -7,10 +7,10 @@ over a linear threshold grid and reports on a 0-100 scale; the grid rule
 comparable.
 
 Scenarios are regenerated deterministically from (seed, index): camera
-intrinsics from configured ranges, joints uniform in limits, orientation
+intrinsics from fixed ranges, joints uniform in limits, orientation
 from a 6D Gaussian through Gram-Schmidt, and translation uniform in the
-normalized in-view box so every ground-truth pose is in-frustum by
-construction.
+run's `FrustumBox`, the same box the forward clamp uses, so every
+ground-truth pose is in-frustum by construction.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from .denoising import Observation
 from .errors import DegenerateRotation6D, EmptyPointSet, InvalidRange
+from .forward_diffusion import FrustumBox
 from .mononorm import NormConfig, NormalizedPose, denormalize
 from .robot_chain import ChainSpec, JointConfig, forward_kinematics
 from .se3_camera import CameraIntrinsics, Pose
@@ -31,6 +32,12 @@ STREAM_SCENARIO = 0
 STREAM_ESTIMATE = 1
 STREAM_DIFFUSE = 2
 STREAM_TRAINSIM = 3
+
+# Scenario cameras and joints: focal length (pixels) and image size (w, h)
+# uniform over these, each joint angle uniform in [-JOINT_LIMIT, JOINT_LIMIT].
+FOCAL_RANGE = (400.0, 900.0)
+IMAGE_SIZES = ((640, 480), (1280, 720))
+JOINT_LIMIT = np.pi
 
 
 def scenario_rng(seed: int, index: int, stream: int) -> np.random.Generator:
@@ -88,26 +95,6 @@ def auc(
 
 
 @dataclass
-class ScenarioRanges:
-    """Sampling ranges for scenario generation."""
-
-    f_range: tuple[float, float] = (400.0, 900.0)
-    image_sizes: tuple = ((640, 480), (1280, 720))
-    margin: float = 0.05
-    joint_limit: float = np.pi
-
-    def __post_init__(self):
-        if not (0 < self.f_range[0] <= self.f_range[1]):
-            raise InvalidRange(f"bad focal range {self.f_range}")
-        if not self.image_sizes:
-            raise InvalidRange("need at least one image size")
-        if not (0 <= self.margin < 0.5):
-            raise InvalidRange(f"margin must be in [0, 0.5), got {self.margin}")
-        if self.joint_limit <= 0:
-            raise InvalidRange("joint_limit must be positive")
-
-
-@dataclass
 class Scenario:
     index: int
     intrinsics: CameraIntrinsics
@@ -126,35 +113,32 @@ class ScenarioSet:
 def generate_scenarios(
     seed: int,
     count: int,
-    ranges: ScenarioRanges | None = None,
+    box: FrustumBox | None = None,
     chain: ChainSpec | None = None,
     cfg: NormConfig | None = None,
 ) -> ScenarioSet:
-    """Deterministic scenario set; every ground-truth pose is in-frustum.
+    """Deterministic scenario set with every normalized translation in `box`
+    (default `FrustumBox.for_config(cfg)`), so every ground truth is in-frustum.
 
     Raises:
-        InvalidRange: if count < 1 or the ranges are invalid.
+        InvalidRange: if count < 1.
     """
     if count < 1:
         raise InvalidRange(f"count must be >= 1, got {count}")
-    ranges = ranges or ScenarioRanges()
     chain = chain or ChainSpec()
     cfg = cfg or NormConfig()
+    box = box or FrustumBox.for_config(cfg)
 
-    xy_bound = 0.5 - ranges.margin
-    z_lo, z_hi = cfg.z_min - cfg.c_z, cfg.z_max - cfg.c_z
     scenarios = []
     for i in range(count):
         rng = scenario_rng(seed, i, STREAM_SCENARIO)
-        f = float(rng.uniform(*ranges.f_range))
-        w, h = ranges.image_sizes[int(rng.integers(len(ranges.image_sizes)))]
-        intrinsics = CameraIntrinsics(f=f, w=int(w), h=int(h))
-        joints = JointConfig(
-            rng.uniform(-ranges.joint_limit, ranges.joint_limit, chain.n_joints)
-        )
-        tx_n = float(rng.uniform(-xy_bound, xy_bound))
-        ty_n = float(rng.uniform(-xy_bound, xy_bound))
-        tz_n = float(rng.uniform(z_lo, z_hi))
+        f = float(rng.uniform(*FOCAL_RANGE))
+        w, h = IMAGE_SIZES[int(rng.integers(len(IMAGE_SIZES)))]
+        intrinsics = CameraIntrinsics(f=f, w=w, h=h)
+        joints = JointConfig(rng.uniform(-JOINT_LIMIT, JOINT_LIMIT, chain.n_joints))
+        tx_n = float(rng.uniform(-box.xy_bound, box.xy_bound))
+        ty_n = float(rng.uniform(-box.xy_bound, box.xy_bound))
+        tz_n = float(rng.uniform(*box.z_bound))
         while True:
             # Gaussian 6D draws are degenerate only on a measure-zero set;
             # redrawing keeps generation total and deterministic.

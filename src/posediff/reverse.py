@@ -26,7 +26,6 @@ to each prediction, always conditioned at t=1.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +42,6 @@ from .forward_diffusion import FrustumBox, NoiseScales, Schedule, ddim_timesteps
 from .mononorm import NormConfig, NormalizedPose, denormalize, normalize
 from .robot_chain import ChainSpec, forward_kinematics
 from .se3_camera import Pose
-
-logger = logging.getLogger(__name__)
 
 # The estimate modes, initializations and DDIM sigma forms, by name.
 MODES = ("ddim", "direct", "tracking")
@@ -113,6 +110,10 @@ class Trajectory:
         return len(self.steps)
 
 
+def _vector(n: NormalizedPose | np.ndarray) -> np.ndarray:
+    return n.as_vector() if isinstance(n, NormalizedPose) else np.asarray(n, dtype=float)
+
+
 def predicted_noise(
     n_t: NormalizedPose | np.ndarray,
     n0_hat: NormalizedPose | np.ndarray,
@@ -122,14 +123,8 @@ def predicted_noise(
     """Noise implied by a prediction: (n_t - sqrt(a_t) n0_hat) / sqrt(1 - a_t)."""
     if t < 1:
         raise InvalidTimestepOrder(f"noise recovery needs t >= 1, got {t}")
-    v_t = n_t.as_vector() if isinstance(n_t, NormalizedPose) else np.asarray(n_t, dtype=float)
-    v_0 = (
-        n0_hat.as_vector()
-        if isinstance(n0_hat, NormalizedPose)
-        else np.asarray(n0_hat, dtype=float)
-    )
     a = sched.alpha_bar[t]
-    return (v_t - np.sqrt(a) * v_0) / np.sqrt(1.0 - a)
+    return (_vector(n_t) - np.sqrt(a) * _vector(n0_hat)) / np.sqrt(1.0 - a)
 
 
 def sigma_squared(sched: Schedule, t: int, t_prev: int, eta: float, form: str = "paper") -> float:
@@ -169,18 +164,12 @@ def ddim_step(
     if not (t > t_prev >= 0):
         raise InvalidTimestepOrder(f"need t > t_prev >= 0, got t={t}, t_prev={t_prev}")
     eps = predicted_noise(n_t, n0_hat, t, sched)
-    v_0 = (
-        n0_hat.as_vector()
-        if isinstance(n0_hat, NormalizedPose)
-        else np.asarray(n0_hat, dtype=float)
-    )
     a_prev = sched.alpha_bar[t_prev]
     s2 = sigma_squared(sched, t, t_prev, eta, sigma_form)
     radicand = 1.0 - a_prev - s2
     if radicand < 0.0:
-        logger.debug("ddim radicand clamp at t=%d -> %d (%.3e)", t, t_prev, radicand)
         radicand = 0.0
-    out = np.sqrt(a_prev) * v_0 + np.sqrt(radicand) * eps
+    out = np.sqrt(a_prev) * _vector(n0_hat) + np.sqrt(radicand) * eps
     return NormalizedPose.from_vector(out)
 
 

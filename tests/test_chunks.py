@@ -34,12 +34,11 @@ from posediff import (
 from posediff import cli
 from posediff.denoising import Observation
 from posediff.errors import DegenerateRotation6D, NonPositiveDepth
-from posediff.metrics import STREAM_DIFFUSE, STREAM_TRAINSIM, ScenarioRanges
+from posediff.metrics import STREAM_DIFFUSE, STREAM_TRAINSIM
 
 
 def scenarios(cfg, world):
-    return generate_scenarios(cfg.seed, cfg.scenarios, ScenarioRanges(margin=cfg.margin),
-                              world[4], world[1]).scenarios
+    return generate_scenarios(cfg.seed, cfg.scenarios, world[3], world[4], world[1]).scenarios
 
 
 def reference_diffuse_rows(cfg, world, sc):
@@ -244,7 +243,7 @@ def test_run_chunks_keeps_at_most_workers_chunks_in_flight():
         time.sleep(0.03 if k % 2 else 0.0)  # the first of each pair finishes second
         return chunk[0].index
 
-    results = cli._run_chunks(cfg, record)
+    results = cli._run_chunks(cfg, cli._build_world(cfg), record)
     first = next(results)
     assert len(started) <= cfg.workers + 1
     want = [chunk[0] for chunk in cli._chunks(list(range(cfg.scenarios)), cfg.workers)]

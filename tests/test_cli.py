@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from posediff import ChainSpec, NormConfig, Pose, ScenarioRanges, generate_scenarios, in_frustum
+from posediff import ChainSpec, FrustumBox, NormConfig, Pose, generate_scenarios, in_frustum
 from posediff import cli
 from posediff.cli import RunConfig, main
 from posediff.errors import ABORTS, InvalidConfig, NonFiniteState
@@ -40,6 +40,20 @@ class TestRunConfig:
     def test_timesteps_parsing(self):
         assert RunConfig(timesteps="all", steps=10).parse_timesteps() == list(range(1, 11))
         assert RunConfig(timesteps="1, 50,100").parse_timesteps() == [1, 50, 100]
+
+
+@pytest.mark.parametrize("command", ["schedule", "diffuse", "estimate", "trainsim"])
+def test_world_is_built_once_per_run(command, tmp_path, monkeypatch):
+    calls = []
+    build_world = cli._build_world
+
+    def counted(cfg):
+        calls.append(cfg)
+        return build_world(cfg)
+
+    monkeypatch.setattr(cli, "_build_world", counted)
+    assert main([command, "--scenarios", "2", "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
 
 
 class TestScheduleCommand:
@@ -89,7 +103,7 @@ class TestDiffuseCommand:
         ]) == 0
         cfg = RunConfig()
         norm = NormConfig(c_z=cfg.cz, z_min=cfg.z_min, z_max=cfg.z_max)
-        scen = generate_scenarios(5, 40, ScenarioRanges(margin=cfg.margin), ChainSpec(), norm)
+        scen = generate_scenarios(5, 40, FrustumBox.for_config(norm, cfg.margin), ChainSpec(), norm)
         rows = [l for l in read(out + ".csv").decode().splitlines() if not l.startswith("#")]
         flags = []
         for row in rows[1:]:
@@ -208,6 +222,30 @@ class TestEstimateCommand:
             "r00", "r01", "r02", "tx", "r10", "r11", "r12", "ty", "r20", "r21", "r22", "tz",
         ]
         assert len(rows) - 1 == 3 * 10
+
+    def test_trajectory_rows_are_written_before_the_next_chunk_runs(self, tmp_path, monkeypatch):
+        events = []
+        estimate_chunk = cli._estimate_chunk
+
+        def wrapped(cfg, world, rcfg, scenarios):
+            k = scenarios[0].index
+            events.append(("compute", k))
+            rows, traj_rows = estimate_chunk(cfg, world, rcfg, scenarios)
+
+            def consumed():
+                events.append(("consume", k))
+                yield from traj_rows
+
+            return rows, consumed()
+
+        monkeypatch.setattr(cli, "_estimate_chunk", wrapped)
+        n = cli.MAX_CHUNK + 8  # two chunks
+        out = str(tmp_path / "est")
+        assert main(["estimate", "--scenarios", str(n), "--seed", "1", "--out", out,
+                     "--trajectories", out + "_traj.csv"]) == 0
+        firsts = [chunk[0] for chunk in cli._chunks(list(range(n)), 1)]
+        assert len(firsts) == 2
+        assert events == [(kind, k) for k in firsts for kind in ("compute", "consume")]
 
     def test_timing_flag_adds_nondeterministic_field(self, tmp_path):
         out = str(tmp_path / "timed")

@@ -347,6 +347,14 @@ class TestFrustumBox:
         assert (out[6], out[7]) == (0.45, -0.45)
         assert out[8] == norm_cfg.z_max - norm_cfg.c_z
 
+    @pytest.mark.parametrize("make", [
+        lambda cfg: FrustumBox.for_config(cfg, -0.1),
+        lambda cfg: FrustumBox(xy_bound=0.6),
+    ], ids=["negative-margin", "past-the-image-edge"])
+    def test_xy_bound_outside_zero_to_half_raises(self, norm_cfg, make):
+        with pytest.raises(ValueError, match="xy_bound"):
+            make(norm_cfg)
+
     def test_batched_clamp(self, norm_cfg):
         box = FrustumBox.for_config(norm_cfg)
         vecs = np.zeros((4, 9))

@@ -34,7 +34,7 @@ from posediff import (
 )
 from posediff import cli
 from posediff.errors import ABORTS, NonFiniteState
-from posediff.metrics import STREAM_ESTIMATE, ScenarioRanges
+from posediff.metrics import STREAM_ESTIMATE
 from posediff.reverse import INIT_MODES, MODES, SIGMA_FORMS
 
 
@@ -129,8 +129,7 @@ def test_lockstep_matches_per_scenario_reference(case):
         world = (*world[:5], ForcingOracle(world[5], t_from=int(draw.choice([1, 40, 100]))))
     oracle = world[5]
     rcfg = cli._estimate_reverse_config(cfg)
-    scen = generate_scenarios(cfg.seed, cfg.scenarios, ScenarioRanges(margin=cfg.margin),
-                              world[4], world[1])
+    scen = generate_scenarios(cfg.seed, cfg.scenarios, world[3], world[4], world[1])
 
     got, traj_rows = cli._estimate_chunk(cfg, world, rcfg, scen.scenarios)
     traj_rows = list(traj_rows)

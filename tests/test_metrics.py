@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from posediff import (
-    ScenarioRanges,
+    FrustumBox,
     add_metric,
     auc,
     forward_kinematics,
     generate_scenarios,
     in_frustum,
     make_observation,
+    normalize,
     point_distance,
 )
 from posediff.errors import EmptyPointSet, InvalidRange
+from posediff.metrics import FOCAL_RANGE, IMAGE_SIZES
 
 from conftest import random_pose, rotation_error
 
@@ -121,6 +123,16 @@ class TestGenerateScenarios:
                 z_range=(norm_cfg.z_min, norm_cfg.z_max),
             )
 
+    def test_translations_lie_in_the_given_box(self, norm_cfg):
+        box = FrustumBox.for_config(norm_cfg, 0.3)
+        scen = generate_scenarios(11, 300, box, cfg=norm_cfg)
+        n = [normalize(sc.gt_pose, sc.intrinsics, norm_cfg) for sc in scen]
+        txy = np.array([[p.tx_n, p.ty_n] for p in n])
+        tz = np.array([p.tz_n for p in n])
+        assert np.abs(txy).max() <= box.xy_bound + 1e-12
+        assert np.abs(txy).max() > 0.9 * box.xy_bound  # the draws span the box
+        assert box.z_bound[0] - 1e-12 <= tz.min() and tz.max() <= box.z_bound[1] + 1e-12
+
     def test_same_seed_identical(self):
         a = generate_scenarios(9, 20)
         b = generate_scenarios(9, 20)
@@ -157,18 +169,15 @@ class TestGenerateScenarios:
             assert rotation_error(sc.gt_pose.R) < 1e-12
 
     def test_intrinsics_within_ranges(self):
-        ranges = ScenarioRanges()
-        for sc in generate_scenarios(19, 200, ranges):
-            assert ranges.f_range[0] <= sc.intrinsics.f <= ranges.f_range[1]
-            assert (sc.intrinsics.w, sc.intrinsics.h) in ranges.image_sizes
+        for sc in generate_scenarios(19, 200):
+            assert FOCAL_RANGE[0] <= sc.intrinsics.f <= FOCAL_RANGE[1]
+            assert (sc.intrinsics.w, sc.intrinsics.h) in IMAGE_SIZES
 
-    def test_bad_ranges_raise(self):
+    def test_bad_ranges_raise(self, norm_cfg):
         with pytest.raises(InvalidRange):
             generate_scenarios(0, 0)
-        with pytest.raises(InvalidRange):
-            ScenarioRanges(f_range=(900.0, 400.0))
-        with pytest.raises(InvalidRange):
-            ScenarioRanges(margin=0.5)
+        with pytest.raises(ValueError):
+            FrustumBox.for_config(norm_cfg, margin=0.5)
 
 
 class TestMakeObservation:

@@ -104,6 +104,15 @@ def test_config_file_not_an_object_exits_2_with_one_line(values, tmp_path, capsy
     assert not list(tmp_path.glob("run*"))
 
 
+# Finite depth ranges whose pose arithmetic overflows (the farthest in-view
+# translation's squared norm) or cancels ((z_min - cz) + cz comes back 0, so the
+# clamp can put a pose at depth 0).
+DEPTH_LOST = [["--cz", "1e308", "--z-max", "1.7e308"], ["--z-max", "1e200"],
+              ["--cz", "1e150", "--z-max", "1e200"], ["--cz", "1e100", "--z-max", "1e150"],
+              ["--z-min", "1e-17"]]
+DEPTH_LOST_IDS = ["cz-1e308", "z-max-1e200", "cz-1e150", "cz-1e100", "z-min-1e-17"]
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--gamma", "inf"], "gamma"),
     (["--z-max", "inf"], "z_max"),
@@ -113,12 +122,22 @@ def test_config_file_not_an_object_exits_2_with_one_line(values, tmp_path, capsy
     (["--cz", "nan"], "cz"),
     # Finite, but its noise scales overflow.
     (["--gamma", "1e-320"], "gamma/margin"),
+    *((flags, "cz") for flags in DEPTH_LOST),
 ], ids=["gamma-inf", "z-max-inf", "eta-inf", "competence-inf", "eta-inf-standard", "cz-nan",
-        "gamma-tiny"])
+        "gamma-tiny", *DEPTH_LOST_IDS])
 def test_non_finite_config_value_exits_2_with_one_line(flags, field, tmp_path, capsys):
     assert main(["estimate", "--scenarios", "20", *flags, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run*"))
+
+
+@pytest.mark.parametrize("command", ["estimate", "diffuse", "trainsim"])
+@pytest.mark.parametrize("flags", DEPTH_LOST, ids=DEPTH_LOST_IDS)
+def test_depth_range_lost_to_float_arithmetic_exits_2(command, flags, tmp_path, capsys):
+    assert main([command, "--scenarios", "20", *flags, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cz: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("run*"))
 
 

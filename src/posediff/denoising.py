@@ -153,9 +153,15 @@ def _point_set(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _mean_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mean Euclidean distance between corresponding rows of two point sets."""
-    return np.mean(np.linalg.norm(a - b, axis=-1), axis=-1)
+def _mean_distance(d: np.ndarray) -> np.ndarray:
+    """Mean Euclidean length of the rows of (..., K, 3) differences `d`.
+
+    Overwrites `d` with its squares. A view such as `Pose.transform` returns
+    is summed plane by plane over contiguous (..., K) component rows.
+    """
+    sq = d.swapaxes(-1, -2)
+    sq *= sq
+    return np.mean(np.sqrt((sq[..., 0, :] + sq[..., 1, :]) + sq[..., 2, :]), axis=-1)
 
 
 def point_distance(pose_a: Pose, pose_b: Pose, points: np.ndarray) -> np.ndarray:
@@ -168,7 +174,7 @@ def point_distance(pose_a: Pose, pose_b: Pose, points: np.ndarray) -> np.ndarray
         EmptyPointSet: on an empty point list.
     """
     pts = _point_set(points)
-    return _mean_distance(pose_a.transform(pts), pose_b.transform(pts))
+    return _mean_distance(pose_a.transform(pts) - pose_b.transform(pts))
 
 
 def decomposed_loss(
@@ -187,12 +193,15 @@ def decomposed_loss(
     pts = _point_set(points)
     gt_pts = pose0.transform(pts)  # shared by the three terms
     gt = compute_gt_targets(pose_t, pose0, intrinsics)
-    pose_xy = apply_update(pose_t, DenoiserOutput(out.v_xy, gt.dr6, gt.v_z), intrinsics)
-    pose_rot = apply_update(pose_t, DenoiserOutput(gt.v_xy, out.dr6, gt.v_z), intrinsics)
-    pose_z = apply_update(pose_t, DenoiserOutput(gt.v_xy, gt.dr6, out.v_z), intrinsics)
-    loss_xy = _mean_distance(gt_pts, pose_xy.transform(pts))
-    loss_rot = _mean_distance(gt_pts, pose_rot.transform(pts))
-    loss_z = _mean_distance(gt_pts, pose_z.transform(pts))
+
+    def term(v_xy, dr6, v_z):
+        d = apply_update(pose_t, DenoiserOutput(v_xy, dr6, v_z), intrinsics).transform(pts)
+        d -= gt_pts
+        return _mean_distance(d)
+
+    loss_xy = term(out.v_xy, gt.dr6, gt.v_z)
+    loss_rot = term(gt.v_xy, out.dr6, gt.v_z)
+    loss_z = term(gt.v_xy, gt.dr6, out.v_z)
     return loss_xy, loss_rot, loss_z, loss_xy + loss_rot + loss_z
 
 

@@ -104,7 +104,7 @@ class JointConfig:
 
     def __post_init__(self):
         self.angles = np.atleast_1d(np.asarray(self.angles, dtype=float))
-        if not np.all(np.isfinite(self.angles)):
+        if not np.isfinite(self.angles).all():
             raise ValueError("joint angles must be finite")
 
     @classmethod

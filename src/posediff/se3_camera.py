@@ -67,10 +67,15 @@ class Pose:
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply the transform to (K, 3) points; a batch gives (N, K, 3).
 
-        A batch takes either one shared (K, 3) point set or (N, K, 3).
+        A batch takes either one shared (K, 3) point set or (N, K, 3). The
+        result is a non-contiguous view of a fresh component-major (..., 3, K)
+        array, which callers may overwrite.
         """
         pts = np.asarray(points, dtype=float)
-        return pts @ self.R.swapaxes(-1, -2) + self.t[..., None, :]
+        # R @ columns, then t added in place: one temporary instead of two.
+        cols = self.R @ pts.swapaxes(-1, -2)
+        cols += self.t[..., :, None]
+        return cols.swapaxes(-1, -2)
 
     def copy(self) -> "Pose":
         return Pose(self.R.copy(), self.t.copy())
@@ -91,7 +96,8 @@ class CameraIntrinsics:
     h: int
 
     def __post_init__(self):
-        if not all(np.all(v > 0) for v in (self.f, self.w, self.h)):
+        # One comparison over all fields; NaN fails it like zero does.
+        if not (np.array((self.f, self.w, self.h)) > 0).all():
             raise ValueError("f, w, h must all be positive")
 
     @property

@@ -53,6 +53,22 @@ def rotation_error(R):
     return max(ortho, abs(np.linalg.det(R) - 1.0))
 
 
+def assert_same_bits(got, want):
+    """Assert equal shape, dtype and bit patterns, so -0.0 differs from 0.0
+    and NaNs with different payloads differ too."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, f"shape {got.shape} != {want.shape}"
+    assert got.dtype == want.dtype, f"dtype {got.dtype} != {want.dtype}"
+    bits = np.dtype(f"u{got.itemsize}")  # uint64 for float64
+    differ = np.ravel(got).view(bits) != np.ravel(want).view(bits)
+    if differ.any():
+        first = tuple(int(i) for i in np.unravel_index(np.argmax(differ), got.shape))
+        raise AssertionError(
+            f"{differ.sum()} of {differ.size} values differ in their bits; "
+            f"first at {first}: {got[first]!r} != {want[first]!r}"
+        )
+
+
 @pytest.fixture
 def make_pose():
     return random_pose

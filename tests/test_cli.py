@@ -296,7 +296,10 @@ class TestEstimateCommand:
         run(tracking, True)  # warm-up
         t_full = min(run(full, False) for _ in range(3))
         t_track = min(run(tracking, True) for _ in range(3))
-        assert t_full / t_track >= 5.0
+        ratio = t_full / t_track
+        assert ratio >= 5.0, (
+            f"t_full / t_track = {ratio:.2f} ({t_full:.4f} s / {t_track:.4f} s), below 5.0"
+        )
 
     def test_aborted_scenarios_are_recorded_and_fail_the_run(self, tmp_path, monkeypatch):
         # force one scenario to abort; the harness must count it, record the

@@ -25,7 +25,7 @@ from posediff import (
 )
 from posediff.errors import EmptyPointSet, NonPositiveDepth
 
-from conftest import random_pose
+from conftest import assert_same_bits, random_pose
 
 
 class TestApplyUpdate:
@@ -196,9 +196,9 @@ class TestOracles:
             pose_t = random_pose(rng)
             a = noisy.predict(pose_t, 70, ob, np.random.default_rng(5))
             b = perfect.predict(pose_t, 70, ob, np.random.default_rng(5))
-            np.testing.assert_array_equal(a.v_xy, b.v_xy)
-            np.testing.assert_array_equal(a.dr6, b.dr6)
-            assert a.v_z == b.v_z
+            assert_same_bits(a.v_xy, b.v_xy)
+            assert_same_bits(a.dr6, b.dr6)
+            assert_same_bits(a.v_z, b.v_z)
 
     def test_noisy_deterministic_per_seed(self, world, sched, norm_cfg):
         scales, scen, obs = world
@@ -206,9 +206,9 @@ class TestOracles:
         pose_t = random_pose(np.random.default_rng(2))
         a = oracle.predict(pose_t, 30, obs[0], np.random.default_rng(77))
         b = oracle.predict(pose_t, 30, obs[0], np.random.default_rng(77))
-        np.testing.assert_array_equal(a.v_xy, b.v_xy)
-        np.testing.assert_array_equal(a.dr6, b.dr6)
-        assert a.v_z == b.v_z
+        assert_same_bits(a.v_xy, b.v_xy)
+        assert_same_bits(a.dr6, b.dr6)
+        assert_same_bits(a.v_z, b.v_z)
 
     def test_noisy_error_grows_with_timestep(self, world, sched, norm_cfg, chain):
         # regression of mean prediction error against the schedule's noise
@@ -257,8 +257,8 @@ class TestOracles:
         exact = compute_gt_targets(pose_t, obs[0].gt_pose, obs[0].intrinsics)
         out = oracle.predict(pose_t, 10, obs[0], np.random.default_rng(6))
         np.testing.assert_allclose(out.v_xy, exact.v_xy + 5.0)
-        np.testing.assert_array_equal(out.dr6, exact.dr6)
-        assert out.v_z == exact.v_z
+        assert_same_bits(out.dr6, exact.dr6)
+        assert_same_bits(out.v_z, exact.v_z)
 
     def test_parse_denoiser_specs(self, sched, scales, norm_cfg):
         assert isinstance(parse_denoiser("perfect", sched, scales, norm_cfg), PerfectOracle)

@@ -20,7 +20,7 @@ from posediff import (
 )
 from posediff.errors import InvalidScheduleParams, NonPositiveDepth
 
-from conftest import random_pose, rotation_error
+from conftest import assert_same_bits, random_pose, rotation_error
 
 
 def product_alpha_bar(T, beta_start, beta_end):
@@ -269,8 +269,8 @@ class TestDiffuse:
         pose0 = random_pose(np.random.default_rng(8))
         a = diffuse(pose0, 42, sched, scales, box, intrinsics, norm_cfg, np.random.default_rng(123))
         b = diffuse(pose0, 42, sched, scales, box, intrinsics, norm_cfg, np.random.default_rng(123))
-        np.testing.assert_array_equal(a.R, b.R)
-        np.testing.assert_array_equal(a.t, b.t)
+        assert_same_bits(a.R, b.R)
+        assert_same_bits(a.t, b.t)
 
     def test_out_of_range_timestep_raises(self, intrinsics, norm_cfg, sched, scales, box):
         rng = np.random.default_rng(9)
@@ -343,7 +343,7 @@ class TestFrustumBox:
         box = FrustumBox.for_config(norm_cfg, margin=0.05)
         vec = np.array([5.0, -3, 2, 1, 1, 1, 0.9, -0.9, 9.0])
         out = box.clamp(vec)
-        np.testing.assert_array_equal(out[:6], vec[:6])
+        assert_same_bits(out[:6], vec[:6])
         assert (out[6], out[7]) == (0.45, -0.45)
         assert out[8] == norm_cfg.z_max - norm_cfg.c_z
 

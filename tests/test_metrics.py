@@ -17,7 +17,7 @@ from posediff import (
 from posediff.errors import EmptyPointSet, InvalidRange
 from posediff.metrics import FOCAL_RANGE, IMAGE_SIZES
 
-from conftest import random_pose, rotation_error
+from conftest import assert_same_bits, random_pose, rotation_error
 
 
 def brute_force_auc(adds, t_min=1e-5, t_max=0.1, n=20_001):
@@ -137,18 +137,16 @@ class TestGenerateScenarios:
         a = generate_scenarios(9, 20)
         b = generate_scenarios(9, 20)
         for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.gt_pose.R, sb.gt_pose.R)
-            np.testing.assert_array_equal(sa.gt_pose.t, sb.gt_pose.t)
-            np.testing.assert_array_equal(sa.joints.angles, sb.joints.angles)
+            assert_same_bits(sa.gt_pose.R, sb.gt_pose.R)
+            assert_same_bits(sa.gt_pose.t, sb.gt_pose.t)
+            assert_same_bits(sa.joints.angles, sb.joints.angles)
             assert (sa.intrinsics.f, sa.intrinsics.w) == (sb.intrinsics.f, sb.intrinsics.w)
 
     def test_count_independent_prefix(self):
         # scenario i only depends on (seed, i), not on the total count
         a = generate_scenarios(9, 5)
         b = generate_scenarios(9, 20)
-        np.testing.assert_array_equal(
-            a.scenarios[3].gt_pose.t, b.scenarios[3].gt_pose.t
-        )
+        assert_same_bits(a.scenarios[3].gt_pose.t, b.scenarios[3].gt_pose.t)
 
     def test_orientation_mean_near_zero(self):
         scen = generate_scenarios(17, 4000)

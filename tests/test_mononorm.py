@@ -12,7 +12,7 @@ from posediff import (
 )
 from posediff.errors import DegenerateRotation6D, NonPositiveDepth
 
-from conftest import random_pose
+from conftest import assert_same_bits, random_pose
 
 
 class TestNormalize:
@@ -80,7 +80,7 @@ class TestRoundTrip:
     def test_vector_packing_roundtrip(self):
         vec = np.arange(9.0)
         n = NormalizedPose.from_vector(vec)
-        np.testing.assert_array_equal(n.as_vector(), vec)
+        assert_same_bits(n.as_vector(), vec)
 
 
 class TestIntrinsicsInvariance:
@@ -103,9 +103,7 @@ class TestBatchHelpers:
         poses = [random_pose(rng) for _ in range(32)]
         batch = normalize(Pose.stack(poses), intrinsics, norm_cfg).as_vector()
         for i, p in enumerate(poses):
-            np.testing.assert_allclose(
-                batch[i], normalize(p, intrinsics, norm_cfg).as_vector(), atol=0
-            )
+            assert_same_bits(batch[i], normalize(p, intrinsics, norm_cfg).as_vector())
         back = denormalize(NormalizedPose.from_vector(batch), intrinsics, norm_cfg)
         np.testing.assert_allclose(back.t, np.stack([p.t for p in poses]), atol=1e-12)
 

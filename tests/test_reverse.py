@@ -25,6 +25,8 @@ from posediff import (
 )
 from posediff.errors import InvalidConfig, InvalidIterationCount, InvalidTimestepOrder
 
+from conftest import assert_same_bits
+
 
 class TestPredictedNoise:
     def test_self_prediction_algebraic_identity(self, sched):
@@ -218,8 +220,8 @@ class TestRunReverse:
             observations[4], chain, sched, scales, norm_cfg, rcfg, oracle,
             np.random.default_rng(55),
         )
-        np.testing.assert_array_equal(a.R, b.R)
-        np.testing.assert_array_equal(a.t, b.t)
+        assert_same_bits(a.R, b.R)
+        assert_same_bits(a.t, b.t)
 
 
 class TestDirectRegression:

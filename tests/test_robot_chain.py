@@ -8,6 +8,8 @@ import pytest
 from posediff import ChainSpec, JointConfig, Pose, forward_kinematics, gram_schmidt_6d, sample_points
 from posediff.errors import DimensionMismatch
 
+from conftest import assert_same_bits
+
 
 class TestForwardKinematics:
     def test_zero_config_is_collinear_cumulative(self, chain):
@@ -40,9 +42,7 @@ class TestForwardKinematics:
 
     def test_deterministic(self, chain):
         joints = JointConfig(np.linspace(-1, 1, chain.n_joints))
-        np.testing.assert_array_equal(
-            forward_kinematics(chain, joints), forward_kinematics(chain, joints)
-        )
+        assert_same_bits(forward_kinematics(chain, joints), forward_kinematics(chain, joints))
 
 
 class TestSamplePoints:
@@ -99,7 +99,7 @@ class TestBatchedKinematics:
         got = forward_kinematics(spec, JointConfig(angles))
         want = np.stack([forward_kinematics(spec, JointConfig(a)) for a in angles])
         assert got.shape == (len(angles), spec.n_joints + 1, 3)
-        assert np.array_equal(got, want)
+        assert_same_bits(got, want)
 
     @pytest.mark.parametrize("spec", [ChainSpec(), TILTED_CHAIN], ids=["default", "tilted"])
     @pytest.mark.parametrize("per_link", [1, 9])
@@ -108,7 +108,7 @@ class TestBatchedKinematics:
         got = sample_points(spec, JointConfig(angles), per_link)
         want = np.stack([sample_points(spec, JointConfig(a), per_link) for a in angles])
         assert got.shape == (len(angles), spec.n_joints + 1 + spec.n_joints * per_link, 3)
-        assert np.array_equal(got, want)
+        assert_same_bits(got, want)
 
     def test_wrong_angle_count_in_a_batch_raises(self, chain):
         with pytest.raises(DimensionMismatch):
@@ -117,6 +117,15 @@ class TestBatchedKinematics:
     def test_joint_config_keeps_its_shape(self):
         assert JointConfig(np.zeros((5, 7))).angles.shape == (5, 7)
         assert JointConfig([0.1, 0.2]).angles.shape == (2,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_angles_raise(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            JointConfig([0.1, bad, 0.2])
+        angles = np.zeros((4, 7))
+        angles[2, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            JointConfig(angles)
 
 
 class TestChainSpec:

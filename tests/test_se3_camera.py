@@ -6,6 +6,8 @@ import pytest
 from posediff import CameraIntrinsics, Pose, gram_schmidt_6d, in_frustum
 from posediff.errors import DegenerateRotation6D
 
+from conftest import assert_same_bits
+
 
 def reference_gram_schmidt(r6):
     """Independent scalar re-derivation used as the test oracle."""
@@ -52,7 +54,7 @@ class TestGramSchmidt:
         Rs = gram_schmidt_6d(batch)
         assert Rs.shape == (20, 3, 3)
         for i in range(20):
-            np.testing.assert_allclose(Rs[i], gram_schmidt_6d(batch[i]), atol=0)
+            assert_same_bits(Rs[i], gram_schmidt_6d(batch[i]))
 
     def test_zero_first_column_raises(self):
         with pytest.raises(DegenerateRotation6D, match="first column"):
@@ -104,6 +106,17 @@ class TestCameraIntrinsics:
     def test_principal_point_cannot_be_set(self):
         with pytest.raises(TypeError):
             CameraIntrinsics(600.0, 640, 480, cx=0.0)
+
+    @pytest.mark.parametrize("field", ["f", "w", "h"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_non_positive_or_nan_field_raises(self, field, bad):
+        good = {"f": 600.0, "w": 640, "h": 480}
+        with pytest.raises(ValueError, match="positive"):
+            CameraIntrinsics(**{**good, field: bad})
+        batch = {k: np.full(3, v, dtype=float) for k, v in good.items()}
+        batch[field][1] = bad
+        with pytest.raises(ValueError, match="positive"):
+            CameraIntrinsics(**batch)
 
 
 class TestPose:

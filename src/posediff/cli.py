@@ -1,21 +1,17 @@
 """Command-line harness: seeded experiments with CSV/JSON outputs.
 
-Subcommands
-===========
-schedule   dump the noise schedule (t, beta, alpha_bar, sigma) as CSV
-diffuse    Monte-Carlo forward diffusion: per-sample CSV + JSON summary
-estimate   reverse estimation over a scenario set: per-scenario CSV + JSON
-trainsim   training-loop simulation: decomposed-loss statistics as JSON
-
-Every output starts from a RunConfig (defaults -> optional JSON config file
--> command-line flags) and embeds a metadata block (full config, seed,
-package version, RNG scheme) sufficient to reproduce the run. Outputs are
-byte-identical for identical configs, including under --workers parallelism,
+The subcommands are schedule, diffuse, estimate and trainsim; the docstring of each
+`cmd_*` function is its --help. Every output starts from a RunConfig (defaults ->
+optional JSON config file -> command-line flags) and embeds a metadata block (full
+config, seed, package version, RNG scheme) sufficient to reproduce the run. Each
+RunConfig field is declared once, with the subcommands that read it: only they register
+its flag, and a flag that the run's mode or denoiser does not read is rejected. Outputs
+are byte-identical for identical configs, including under --workers parallelism,
 because every scenario draws from its own (seed, index, stream) generator.
 Wall-clock timing is therefore opt-in (--timing).
 
 Exit codes: 0 success; 1 scenario aborts or failed embedded checks;
-2 configuration errors.
+2 configuration errors, reported in one `error: ...` line.
 
 CSV columns are documented in FORMATS.md and in each subcommand's --help.
 """
@@ -28,6 +24,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Iterator
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .denoising import Observation, decomposed_loss, parse_denoiser
+from .denoising import Observation, decomposed_loss, parse_denoiser, parse_denoiser_spec
 from .errors import ABORTS, InvalidConfig, PoseDiffError
 from .forward_diffusion import (
     FrustumBox,
@@ -82,67 +79,109 @@ MIN_CHUNK = 8
 MAX_CHUNK = 256
 
 
+# Subcommand groups, checks and `unread` pairs that several RunConfig fields share (see
+# `_field`). Tracking makes one step to t = 0, where alpha_bar = 1 leaves the DDIM radicand
+# at most 0, clamped to 0; direct regression reads only the start of the reverse loop.
+ALL = ("schedule", "diffuse", "estimate", "trainsim")
+SCENE = ALL[1:]  # the subcommands that draw scenarios
+REVERSE = ("schedule", "estimate")  # the subcommands that take DDIM steps
+POSITIVE = (lambda v, c: v > 0, "must be positive")
+AT_LEAST_0 = (lambda v, c: v >= 0, "must be >= 0")
+AT_LEAST_1 = (lambda v, c: v >= 1, "must be >= 1")
+DDIM_ONLY = (lambda c, cmd: cmd == "estimate" and c.mode != "ddim", "not read by --mode {mode}")
+NOT_TRACKING = (lambda c, cmd: c.mode == "tracking", "not read by --mode tracking")
+# The JSON types a config file may give a field, by its default's type (None: a string or
+# null). They are matched exactly, so that a JSON true is not taken for an int.
+FILE_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
+              type(None): (str, type(None))}
+
+
+def _field(default, commands: tuple, help: str, *checks: tuple, choices=None, unread=None):
+    """A RunConfig field, declared once for its flag, config-file type and checks.
+
+    Only `commands` register its flag, typed as `default` (str for None). `validate` checks
+    a float is finite, then `choices`, then each `(predicate(value, cfg), message)`, which
+    follows the fields it reads. `load_config` rejects a flag for a field whose `unread`
+    `(predicate(cfg, command), message)` holds. Messages take the config's fields."""
+    kind = str if default is None else type(default)
+    if choices:
+        checks = ((lambda v, c: v in choices, f"must be one of {choices}"), *checks)
+    if kind is float:
+        checks = ((lambda v, c: math.isfinite(v), "must be finite"), *checks)
+    flag = {"default": None, "help": f"{help} (default: {default})"}
+    flag.update({"action": argparse.BooleanOptionalAction} if kind is bool
+                else {"type": kind, "choices": choices})
+    return dataclasses.field(default=default, metadata=dict(
+        commands=commands, flag=flag, checks=checks, file_types=FILE_TYPES[type(default)],
+        unread=unread))
+
+
+def _writable(path: str) -> bool:
+    """Whether a new file at `path` can be made: its directory exists and is writable.
+    Checked before any output is computed, so that a bad path leaves no file."""
+    folder = os.path.dirname(os.path.abspath(path))
+    return os.path.isdir(folder) and os.access(folder, os.W_OK)
+
+
 @dataclass
 class RunConfig:
     """All harness knobs; validated before any work starts."""
 
-    steps: int = 100
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    cz: float = 1.5
-    z_min: float = 0.3
-    z_max: float = 3.0
-    gamma: float = 3.0
-    margin: float = 0.05
-    eta: float = 1.0
-    ddim_steps: int = 5
-    refine_steps: int = 5
-    sigma_form: str = "paper"
-    denoiser: str = "perfect"
-    competence: float = 3.0
-    mode: str = "ddim"
-    init: str = "canonical"
-    scenarios: int = 100
-    seed: int = 0
-    clamp: bool = True
-    timesteps: str = "1,25,50,75,100"
-    draws: int = 1
-    per_link: int = 9
-    chain: str | None = None
-    out: str = "run"
-    trajectories: str | None = None
-    workers: int = 1
-    timing: bool = False
+    steps: int = _field(100, ALL, "diffusion steps T", AT_LEAST_1)
+    beta_start: float = _field(1e-4, ALL, "first beta of the linear schedule")
+    beta_end: float = _field(0.02, ALL, "last beta of the linear schedule", (
+        lambda v, c: 0 < c.beta_start <= v < 1, "need 0 < beta_start <= beta_end < 1"))
+    z_min: float = _field(0.3, SCENE, "nearest depth of the frustum box, meters")
+    z_max: float = _field(3.0, SCENE, "farthest depth of the frustum box, meters")
+    cz: float = _field(1.5, SCENE, "depth normalization offset, meters", (
+        lambda v, c: 0 < c.z_min < v < c.z_max, "need 0 < z_min < cz < z_max"))
+    gamma: float = _field(3.0, SCENE, "k-sigma containment multiplier", POSITIVE)
+    margin: float = _field(0.05, SCENE, "frustum margin as an image fraction",
+                           (lambda v, c: 0 <= v < 0.5, "must be in [0, 0.5)"))
+    eta: float = _field(1.0, REVERSE, "DDIM noise scale", AT_LEAST_0, unread=DDIM_ONLY)
+    ddim_steps: int = _field(5, ("estimate",), "scheduled reverse steps", (
+        lambda v, c: 1 <= v <= c.steps, "need 1 <= ddim_steps <= steps"), unread=NOT_TRACKING)
+    refine_steps: int = _field(5, ("estimate",), "refinement steps, conditioned on t = 1",
+                               AT_LEAST_0, unread=NOT_TRACKING)
+    sigma_form: str = _field("paper", REVERSE, "DDIM sigma form", choices=SIGMA_FORMS,
+                             unread=DDIM_ONLY)
+    denoiser: str = _field("perfect", ("estimate", "trainsim"), "perfect | noisy:S0 | biased:PX")
+    competence: float = _field(
+        3.0, ("estimate", "trainsim"), "noisy oracle's correction range, k-sigma units",
+        POSITIVE, unread=(lambda c, cmd: parse_denoiser_spec(c.denoiser)[0] != "noisy",
+                          "not read by --denoiser {denoiser}"))
+    mode: str = _field("ddim", ("estimate",), "estimator", choices=MODES)
+    init: str = _field("canonical", ("estimate",), "start of the reverse loop", (
+        lambda v, c: v != "previous-estimate" or c.mode == "tracking",
+        "previous-estimate needs --mode tracking, which starts from the ground truth"),
+        choices=INIT_MODES,
+        unread=(lambda c, cmd: c.mode == "tracking" and c.init != "previous-estimate",
+                "not read by --mode tracking, which starts from the previous estimate"))
+    scenarios: int = _field(100, SCENE, "scenarios in the run", AT_LEAST_1)
+    seed: int = _field(0, ALL, "run seed, recorded in every output", AT_LEAST_0)
+    clamp: bool = _field(True, ("diffuse", "trainsim"), "clamp diffused poses into the frustum box")
+    timesteps: str = _field("1,25,50,75,100", ("diffuse",), 'comma list of timesteps, or "all"')
+    draws: int = _field(1, ("trainsim",), "draws per scenario", AT_LEAST_1)
+    per_link: int = _field(9, ("trainsim",), "loss points sampled per link", AT_LEAST_1)
+    chain: str | None = _field(None, SCENE, "ChainSpec JSON file; none is the default arm")
+    out: str = _field("run", ALL, "output path prefix", (
+        lambda v, c: _writable(v + ".csv"), "directory of {out!r} is missing or not writable"))
+    trajectories: str | None = _field(
+        None, ("estimate",), "also write the per-step trajectory CSV here",
+        (lambda v, c: v is None or _writable(v),
+         "directory of {trajectories!r} is missing or not writable"),
+        (lambda v, c: v is None or os.path.abspath(v) not in
+         [os.path.abspath(c.out + ext) for ext in (".csv", ".json")],
+         "{trajectories!r} is also an --out file"))
+    workers: int = _field(1, SCENE, "threads, each running a chunk of scenarios", AT_LEAST_1)
+    timing: bool = _field(False, ("estimate",), "put wall-clock times in the JSON (varies by run)")
 
     def validate(self) -> "RunConfig":
-        """Check each field; `main` then builds the world, which checks the rest."""
-        checks = [(math.isfinite(getattr(self, f.name)), f.name, "must be finite")
-                  for f in dataclasses.fields(self) if f.type == "float"]
-        checks += [
-            (self.steps >= 1, "steps", "must be >= 1"),
-            (0 < self.beta_start <= self.beta_end < 1, "beta_start/beta_end",
-             "need 0 < beta_start <= beta_end < 1"),
-            (0 < self.z_min < self.cz < self.z_max, "cz", "need 0 < z_min < cz < z_max"),
-            (self.gamma > 0, "gamma", "must be positive"),
-            (0 <= self.margin < 0.5, "margin", "must be in [0, 0.5)"),
-            (self.eta >= 0, "eta", "must be >= 0"),
-            (1 <= self.ddim_steps <= self.steps, "ddim_steps", "need 1 <= ddim_steps <= steps"),
-            (self.refine_steps >= 0, "refine_steps", "must be >= 0"),
-            (self.sigma_form in SIGMA_FORMS, "sigma_form", f"must be one of {SIGMA_FORMS}"),
-            (self.mode in MODES, "mode", f"must be one of {MODES}"),
-            (self.init in INIT_MODES, "init", f"must be one of {INIT_MODES}"),
-            (self.init != "previous-estimate" or self.mode == "tracking", "init",
-             "previous-estimate needs --mode tracking, which starts from the ground truth"),
-            (self.scenarios >= 1, "scenarios", "must be >= 1"),
-            (self.seed >= 0, "seed", "must be >= 0"),
-            (self.draws >= 1, "draws", "must be >= 1"),
-            (self.per_link >= 1, "per_link", "must be >= 1"),
-            (self.workers >= 1, "workers", "must be >= 1"),
-            (self.competence > 0, "competence", "must be positive"),
-        ]
-        for ok, fieldname, msg in checks:
-            if not ok:
-                raise InvalidConfig(f"{fieldname}: {msg}")
+        """Check each field as declared; `main` then builds the world, which checks the rest."""
+        for f in dataclasses.fields(self):
+            for ok, msg in f.metadata["checks"]:
+                if not ok(getattr(self, f.name), self):
+                    raise InvalidConfig(f"{f.name}: {msg.format_map(vars(self))}")
         self.parse_timesteps()
         return self
 
@@ -217,6 +256,7 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def cmd_schedule(cfg: RunConfig, world: tuple) -> int:
+    """Dump the noise schedule; CSV columns: t, beta, alpha_bar, sigma."""
     sched, *_ = world
     rows = []
     for t in range(1, cfg.steps + 1):
@@ -298,6 +338,8 @@ def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
 
 
 def cmd_diffuse(cfg: RunConfig, world: tuple) -> int:
+    """Forward-diffuse scenario poses; CSV columns: scenario, t, in_frustum, tx_n, ty_n,
+    tz_n, u, v."""
     ts = cfg.parse_timesteps()
     if not ts or any(not (1 <= t <= cfg.steps) for t in ts):
         raise InvalidConfig(f"timesteps: values must lie in [1, {cfg.steps}]")
@@ -401,6 +443,7 @@ def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios
 
 
 def cmd_estimate(cfg: RunConfig, world: tuple) -> int:
+    """Run reverse estimation; CSV columns: scenario, add, steps, mode, aborted, reason."""
     rcfg = _estimate_reverse_config(cfg)
     t0 = time.perf_counter()
     chunks = _run_chunks(cfg, world, lambda c, w, chunk: _estimate_chunk(c, w, rcfg, chunk))
@@ -478,6 +521,7 @@ def _trainsim_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> np.ndarray
 
 
 def cmd_trainsim(cfg: RunConfig, world: tuple) -> int:
+    """Simulate the training loop; JSON loss statistics only."""
     arr = np.concatenate(list(_run_chunks(cfg, world, _trainsim_chunk)))
     n_bins = min(10, cfg.steps)
     edges = np.linspace(1, cfg.steps + 1, n_bins + 1)
@@ -521,106 +565,61 @@ def cmd_trainsim(cfg: RunConfig, world: tuple) -> int:
     return 0
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
-    p.add_argument("--steps", type=int, help="diffusion steps T (default 100)")
-    p.add_argument("--beta-start", type=float, dest="beta_start")
-    p.add_argument("--beta-end", type=float, dest="beta_end")
-    p.add_argument("--cz", type=float, help="depth normalization offset, meters")
-    p.add_argument("--z-min", type=float, dest="z_min")
-    p.add_argument("--z-max", type=float, dest="z_max")
-    p.add_argument("--gamma", type=float, help="k-sigma containment multiplier")
-    p.add_argument("--margin", type=float, help="frustum margin as an image fraction")
-    p.add_argument("--eta", type=float, help="DDIM noise scale")
-    p.add_argument("--ddim-steps", type=int, dest="ddim_steps")
-    p.add_argument("--refine-steps", type=int, dest="refine_steps")
-    p.add_argument("--sigma-form", choices=SIGMA_FORMS, dest="sigma_form")
-    p.add_argument("--denoiser", help="perfect | noisy:S0 | biased:PX")
-    p.add_argument("--competence", type=float, help="oracle correction range, k-sigma units")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--init", choices=INIT_MODES)
-    p.add_argument("--scenarios", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--clamp", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--timesteps", help='comma list for diffuse, or "all"')
-    p.add_argument("--draws", type=int, help="trainsim draws per scenario")
-    p.add_argument("--per-link", type=int, dest="per_link")
-    p.add_argument("--chain", help="ChainSpec JSON file")
-    p.add_argument("--out", help="output path prefix (default 'run')")
-    p.add_argument("--trajectories", help="also write per-step trajectory CSV here")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--timing", action=argparse.BooleanOptionalAction, default=None,
-                   help="include wall-clock timing in the JSON (non-deterministic)")
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as one line, not the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="posediff",
         description="Visibility-constrained SE(3) pose diffusion harness",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "schedule": "dump the noise schedule; CSV columns: t, beta, alpha_bar, sigma",
-        "diffuse": (
-            "forward-diffuse scenario poses; CSV columns: scenario, t, in_frustum, "
-            "tx_n, ty_n, tz_n, u, v"
-        ),
-        "estimate": (
-            "run reverse estimation; CSV columns: scenario, add, steps, mode, "
-            "aborted, reason"
-        ),
-        "trainsim": "simulate the training loop; JSON loss statistics only",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        _add_common_flags(p)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__, description=command.__doc__)
+        p.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
+        for f in dataclasses.fields(RunConfig):
+            if name in f.metadata["commands"]:
+                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **f.metadata["flag"])
     return parser
 
 
-# The JSON value types a config file may give a RunConfig field, by the field's
-# type. They are matched exactly, so that a JSON true is not taken for an int.
-FILE_TYPES = {
-    "bool": (bool,),
-    "int": (int,),
-    "float": (int, float),
-    "str": (str,),
-    "str | None": (str, type(None)),
-}
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the --config file, then the flags given. After the value checks, a
+    flag for a field that the run does not read is rejected; a file may set any field."""
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
+            values = json.load(fh)
+        if not isinstance(values, dict):
             raise InvalidConfig("config file: the top level must be a JSON object")
-        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-        unknown = set(file_values) - set(types)
+        unknown = set(values) - set(fields)
         if unknown:
             raise InvalidConfig(f"config file: unknown fields {sorted(unknown)}")
-        for name, value in file_values.items():
-            if type(value) not in FILE_TYPES[types[name]]:
-                raise InvalidConfig(f"{name}: expected {types[name]}, got {json.dumps(value)}")
-        values.update(file_values)
-    for f in dataclasses.fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            values[f.name] = flag_value
-    return RunConfig(**values).validate()
+        for name, value in values.items():
+            f = fields[name]
+            if type(value) not in f.metadata["file_types"]:
+                raise InvalidConfig(f"{name}: expected {f.type}, got {json.dumps(value)}")
+    flags = [f for f in fields.values() if getattr(args, f.name, None) is not None]
+    values.update((f.name, getattr(args, f.name)) for f in flags)
+    cfg = RunConfig(**values).validate()
+    for f in flags:
+        if f.metadata["unread"]:
+            unread, msg = f.metadata["unread"]
+            if unread(cfg, args.command):
+                raise InvalidConfig(f"{f.name}: {msg.format_map(vars(cfg))}")
+    return cfg
 
 
-COMMANDS = {
-    "schedule": cmd_schedule,
-    "diffuse": cmd_diffuse,
-    "estimate": cmd_estimate,
-    "trainsim": cmd_trainsim,
-}
+COMMANDS = dict(zip(ALL, (cmd_schedule, cmd_diffuse, cmd_estimate, cmd_trainsim)))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
         world = _build_world(cfg)

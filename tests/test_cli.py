@@ -1,8 +1,11 @@
 """CLI harness tests: subcommands, determinism, config validation."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +55,8 @@ def test_world_is_built_once_per_run(command, tmp_path, monkeypatch):
         return build_world(cfg)
 
     monkeypatch.setattr(cli, "_build_world", counted)
-    assert main([command, "--scenarios", "2", "--out", str(tmp_path / "run")]) == 0
+    scenarios = [] if command == "schedule" else ["--scenarios", "2"]  # schedule draws none
+    assert main([command, *scenarios, "--out", str(tmp_path / "run")]) == 0
     assert len(calls) == 1
 
 
@@ -392,7 +396,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command", ["schedule", "diffuse", "estimate", "trainsim"])
     def test_timesteps_range_binds_only_diffuse(self, command, tmp_path, capsys):
         out = str(tmp_path / "run")
-        code = main([command, "--steps", "50", "--scenarios", "3", "--out", out])
+        scenarios = [] if command == "schedule" else ["--scenarios", "3"]  # schedule draws none
+        code = main([command, "--steps", "50", *scenarios, "--out", out])
         if command == "diffuse":
             # The default --timesteps reaches 100, past the 50 steps.
             assert code == 2
@@ -411,6 +416,78 @@ class TestConfigHandling:
             "--out", out,
         ]) == 0
         assert json.loads(read(out + ".json"))["auc"] == pytest.approx(100.0, abs=0.01)
+
+
+# Invocations that must exit 2 with one `error: ...` line and write nothing.
+BAD_INVOCATIONS = {
+    # Flags that the subcommand does not read.
+    "schedule-unread-flags": ["schedule", "--draws", "5", "--trajectories", "t.csv",
+                              "--workers", "3", "--timing"],
+    "estimate-per-link": ["estimate", "--per-link", "2"],
+    "diffuse-timing": ["diffuse", "--timing"],
+    # Flags that the run's mode or denoiser does not read.
+    "tracking-ddim-steps": ["estimate", "--mode", "tracking", "--ddim-steps", "3"],
+    "tracking-refine-steps": ["estimate", "--mode", "tracking", "--refine-steps", "7"],
+    "tracking-eta": ["estimate", "--mode", "tracking", "--eta", "0.2"],
+    "tracking-sigma-form": ["estimate", "--mode", "tracking", "--sigma-form", "standard"],
+    "tracking-init": ["estimate", "--mode", "tracking", "--init", "prior-sample"],
+    "direct-eta": ["estimate", "--mode", "direct", "--eta", "0.3"],
+    "direct-sigma-form": ["estimate", "--mode", "direct", "--sigma-form", "standard"],
+    "competence-perfect": ["estimate", "--competence", "1"],
+    "competence-biased": ["trainsim", "--competence", "1", "--denoiser", "biased:0.1"],
+    # Command lines that argparse rejects.
+    "bad-mode": ["estimate", "--mode", "bogus"],
+    "fractional-scenarios": ["estimate", "--scenarios", "2.5"],
+    "unknown-flag": ["estimate", "--bogus"],
+    "no-subcommand": [],
+    # Output paths that cannot be written.
+    "schedule-out-missing-dir": ["schedule", "--out", "missing/x"],
+    "diffuse-out-missing-dir": ["diffuse", "--out", "missing/x"],
+    "estimate-out-missing-dir": ["estimate", "--out", "missing/x"],
+    "trainsim-out-missing-dir": ["trainsim", "--out", "missing/x"],
+    "estimate-out-under-a-file": ["estimate", "--out", "a_file/x"],
+    "trajectories-missing-dir": ["estimate", "--trajectories", "missing/t.csv"],
+    "trajectories-is-out-csv": ["estimate", "--trajectories", "same.csv", "--out", "same"],
+    "trajectories-is-out-json": ["estimate", "--trajectories", "./same.json", "--out", "same"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INVOCATIONS.values(), ids=BAD_INVOCATIONS.keys())
+def test_bad_invocation_exits_2_with_one_line_and_no_file(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
+
+
+def documented_flags() -> dict[str, set[str]]:
+    """The flag table of FORMATS.md's Flags section: an `x` marks a subcommand's flag."""
+    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+    section = text.split("\n## Flags\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    header, table = rows[0], {}
+    for flag, *marks in rows[2:]:
+        for command, mark in zip(header[1:], marks):
+            if command in cli.COMMANDS and mark == "x":
+                table.setdefault(command, set()).update(flag.strip("`").split("/"))
+    return table
+
+
+def test_every_field_is_read_and_the_flag_table_matches_the_parser():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    read = {a.dest for p in subs.values() for a in p._actions}
+    assert {f.name for f in dataclasses.fields(RunConfig)} <= read
+    registered = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                  for name, p in subs.items()}
+    assert documented_flags() == registered
 
 
 class TestCsvWriter:

@@ -88,7 +88,8 @@ def test_bad_config_value_exits_2_with_one_line(command, values, tmp_path, capsy
     path.write_text(json.dumps(values))
     flags = ["--seed", "-1"] if values is None else ["--config", str(path)]
     field = "seed" if values is None else next(iter(values))
-    assert main([command, *flags, "--scenarios", "2", "--out", str(tmp_path / "run")]) == 2
+    scenarios = [] if command == "schedule" else ["--scenarios", "2"]  # schedule draws none
+    assert main([command, *flags, *scenarios, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("run*"))

@@ -5,9 +5,9 @@ The subcommands are schedule, diffuse, estimate and trainsim; the docstring of e
 optional JSON config file -> command-line flags) and embeds a metadata block (full
 config, seed, package version, RNG scheme) sufficient to reproduce the run. Each
 RunConfig field is declared once, with the subcommands that read it: only they register
-its flag, and a flag that the run's mode or denoiser does not read is rejected. Outputs
-are byte-identical for identical configs, including under --workers parallelism,
-because every scenario draws from its own (seed, index, stream) generator.
+its flag and check its value, and a flag that the run's mode or denoiser does not read
+is rejected. Outputs are byte-identical for identical configs, including under --workers
+parallelism, because every scenario draws from its own (seed, index, stream) generator.
 Wall-clock timing is therefore opt-in (--timing).
 
 Exit codes: 0 success; 1 scenario aborts or failed embedded checks;
@@ -83,7 +83,7 @@ MAX_CHUNK = 256
 # `_field`). Tracking makes one step to t = 0, where alpha_bar = 1 leaves the DDIM radicand
 # at most 0, clamped to 0; direct regression reads only the start of the reverse loop.
 ALL = ("schedule", "diffuse", "estimate", "trainsim")
-SCENE = ALL[1:]  # the subcommands that draw scenarios
+SCENE = ("diffuse", "estimate", "trainsim")  # the subcommands that draw scenarios
 REVERSE = ("schedule", "estimate")  # the subcommands that take DDIM steps
 POSITIVE = (lambda v, c: v > 0, "must be positive")
 AT_LEAST_0 = (lambda v, c: v >= 0, "must be >= 0")
@@ -99,10 +99,11 @@ FILE_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
 def _field(default, commands: tuple, help: str, *checks: tuple, choices=None, unread=None):
     """A RunConfig field, declared once for its flag, config-file type and checks.
 
-    Only `commands` register its flag, typed as `default` (str for None). `validate` checks
-    a float is finite, then `choices`, then each `(predicate(value, cfg), message)`, which
-    follows the fields it reads. `load_config` rejects a flag for a field whose `unread`
-    `(predicate(cfg, command), message)` holds. Messages take the config's fields."""
+    Only `commands` register its flag, typed as `default` (str for None), and read it, unless
+    its `unread` `(predicate(cfg, command), message)` holds. For a run that reads it,
+    `validate` checks a float is finite, then `choices`, then each
+    `(predicate(value, cfg), message)`, which follows the fields it reads. Messages take the
+    config's fields."""
     kind = str if default is None else type(default)
     if choices:
         checks = ((lambda v, c: v in choices, f"must be one of {choices}"), *checks)
@@ -116,11 +117,20 @@ def _field(default, commands: tuple, help: str, *checks: tuple, choices=None, un
         unread=unread))
 
 
+def _unread(cfg: "RunConfig", f: dataclasses.Field, command: str) -> str | None:
+    """Why `command`, run with `cfg`, does not read field `f`, or None if it does."""
+    if command not in f.metadata["commands"]:
+        return f"not read by {command}"
+    if f.metadata["unread"] and f.metadata["unread"][0](cfg, command):
+        return f.metadata["unread"][1].format_map(vars(cfg))
+    return None
+
+
 def _writable(path: str) -> bool:
-    """Whether a new file at `path` can be made: its directory exists and is writable.
-    Checked before any output is computed, so that a bad path leaves no file."""
+    """Whether a file at `path` can be made: it is not a directory, and its directory exists
+    and is writable. Checked before any output is computed, so a bad path leaves no file."""
     folder = os.path.dirname(os.path.abspath(path))
-    return os.path.isdir(folder) and os.access(folder, os.W_OK)
+    return os.path.isdir(folder) and os.access(folder, os.W_OK) and not os.path.isdir(path)
 
 
 @dataclass
@@ -133,8 +143,8 @@ class RunConfig:
         lambda v, c: 0 < c.beta_start <= v < 1, "need 0 < beta_start <= beta_end < 1"))
     z_min: float = _field(0.3, SCENE, "nearest depth of the frustum box, meters")
     z_max: float = _field(3.0, SCENE, "farthest depth of the frustum box, meters")
-    cz: float = _field(1.5, SCENE, "depth normalization offset, meters", (
-        lambda v, c: 0 < c.z_min < v < c.z_max, "need 0 < z_min < cz < z_max"))
+    # `_build_world` checks 0 < z_min < cz < z_max, as NormConfig requires.
+    cz: float = _field(1.5, SCENE, "depth normalization offset, meters")
     gamma: float = _field(3.0, SCENE, "k-sigma containment multiplier", POSITIVE)
     margin: float = _field(0.05, SCENE, "frustum margin as an image fraction",
                            (lambda v, c: 0 <= v < 0.5, "must be in [0, 0.5)"))
@@ -160,33 +170,38 @@ class RunConfig:
     scenarios: int = _field(100, SCENE, "scenarios in the run", AT_LEAST_1)
     seed: int = _field(0, ALL, "run seed, recorded in every output", AT_LEAST_0)
     clamp: bool = _field(True, ("diffuse", "trainsim"), "clamp diffused poses into the frustum box")
-    timesteps: str = _field("1,25,50,75,100", ("diffuse",), 'comma list of timesteps, or "all"')
+    timesteps: str = _field("1,25,50,75,100", ("diffuse",), 'comma list of timesteps, or "all"', (
+        lambda v, c: (ts := c.parse_timesteps()) != [] and all(1 <= t <= c.steps for t in ts),
+        "values must lie in [1, {steps}]"))
     draws: int = _field(1, ("trainsim",), "draws per scenario", AT_LEAST_1)
     per_link: int = _field(9, ("trainsim",), "loss points sampled per link", AT_LEAST_1)
     chain: str | None = _field(None, SCENE, "ChainSpec JSON file; none is the default arm")
     out: str = _field("run", ALL, "output path prefix", (
-        lambda v, c: _writable(v + ".csv"), "directory of {out!r} is missing or not writable"))
+        lambda v, c: _writable(v + ".csv") and _writable(v + ".json"),
+        "{out!r}.csv/.json: the directory is missing or not writable, or the path is one"))
     trajectories: str | None = _field(
         None, ("estimate",), "also write the per-step trajectory CSV here",
         (lambda v, c: v is None or _writable(v),
-         "directory of {trajectories!r} is missing or not writable"),
+         "{trajectories!r}: the directory is missing or not writable, or the path is one"),
         (lambda v, c: v is None or os.path.abspath(v) not in
          [os.path.abspath(c.out + ext) for ext in (".csv", ".json")],
          "{trajectories!r} is also an --out file"))
     workers: int = _field(1, SCENE, "threads, each running a chunk of scenarios", AT_LEAST_1)
     timing: bool = _field(False, ("estimate",), "put wall-clock times in the JSON (varies by run)")
 
-    def validate(self) -> "RunConfig":
-        """Check each field as declared; `main` then builds the world, which checks the rest."""
+    def validate(self, command: str | None = None) -> "RunConfig":
+        """Check as declared each field that `command` reads (each field, without one); `main`
+        then builds the world, which checks the rest."""
         for f in dataclasses.fields(self):
+            if command and _unread(self, f, command):
+                continue
             for ok, msg in f.metadata["checks"]:
                 if not ok(getattr(self, f.name), self):
                     raise InvalidConfig(f"{f.name}: {msg.format_map(vars(self))}")
-        self.parse_timesteps()
         return self
 
     def parse_timesteps(self) -> list[int]:
-        """The --timesteps list; diffuse, its only reader, checks its range."""
+        """The --timesteps list; its field's check gives the range."""
         if self.timesteps.strip().lower() == "all":
             return list(range(1, self.steps + 1))
         try:
@@ -198,7 +213,10 @@ class RunConfig:
 def _build_world(cfg: RunConfig):
     """Shared wiring: schedule, normalization, scales, box, chain, oracle."""
     sched = make_linear_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
-    norm = NormConfig(c_z=cfg.cz, z_min=cfg.z_min, z_max=cfg.z_max)
+    try:
+        norm = NormConfig(c_z=cfg.cz, z_min=cfg.z_min, z_max=cfg.z_max)
+    except ValueError as exc:
+        raise InvalidConfig(f"cz: {exc}") from exc
     try:
         scales = NoiseScales.for_config(norm, gamma=cfg.gamma)
         box = FrustumBox.for_config(norm, margin=cfg.margin)
@@ -247,11 +265,9 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Rank correlation; inputs are small bin summaries without ties."""
+    """Rank correlation of small bin summaries; tied values are ranked in order."""
     rx = np.argsort(np.argsort(x)).astype(float)
     ry = np.argsort(np.argsort(y)).astype(float)
-    if rx.std() == 0 or ry.std() == 0:
-        return 0.0
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
@@ -341,8 +357,6 @@ def cmd_diffuse(cfg: RunConfig, world: tuple) -> int:
     """Forward-diffuse scenario poses; CSV columns: scenario, t, in_frustum, tx_n, ty_n,
     tz_n, u, v."""
     ts = cfg.parse_timesteps()
-    if not ts or any(not (1 <= t <= cfg.steps) for t in ts):
-        raise InvalidConfig(f"timesteps: values must lie in [1, {cfg.steps}]")
     chunks = _run_chunks(cfg, world, _diffuse_chunk)
     kept = []  # each chunk's (flags, vectors), for the summary
 
@@ -384,14 +398,15 @@ def cmd_diffuse(cfg: RunConfig, world: tuple) -> int:
 
 def _estimate_reverse_config(cfg: RunConfig) -> ReverseConfig:
     """The reverse loop of `cfg.mode`; tracking is a single scheduled step
-    from the previous estimate."""
-    tracking = cfg.mode == "tracking"
+    from the previous estimate. Only ddim reads eta and sigma_form (see `DDIM_ONLY`), so
+    the other modes are given 0 and "paper", with which tracking's step is the same."""
+    tracking, ddim = cfg.mode == "tracking", cfg.mode == "ddim"
     return ReverseConfig(
         ddim_steps=1 if tracking else cfg.ddim_steps,
         refine_steps=0 if tracking else cfg.refine_steps,
-        eta=cfg.eta,
+        eta=cfg.eta if ddim else 0.0,
         init_mode="previous-estimate" if tracking else cfg.init,
-        sigma_form=cfg.sigma_form,
+        sigma_form=cfg.sigma_form if ddim else "paper",
         margin=cfg.margin,
     )
 
@@ -526,13 +541,12 @@ def cmd_trainsim(cfg: RunConfig, world: tuple) -> int:
     n_bins = min(10, cfg.steps)
     edges = np.linspace(1, cfg.steps + 1, n_bins + 1)
     bins = []
-    bin_t, bin_total = [], []
     for b in range(n_bins):
         mask = (arr[:, 0] >= edges[b]) & (arr[:, 0] < edges[b + 1])
         chunk = arr[mask]
         if chunk.size == 0:
             continue
-        entry = {
+        bins.append({
             "t_lo": int(np.ceil(edges[b])),
             "t_hi": int(np.ceil(edges[b + 1]) - 1),
             "count": int(chunk.shape[0]),
@@ -542,10 +556,7 @@ def cmd_trainsim(cfg: RunConfig, world: tuple) -> int:
             "mean_total": float(chunk[:, 4].mean()),
             "p50_total": float(np.percentile(chunk[:, 4], 50)),
             "p90_total": float(np.percentile(chunk[:, 4], 90)),
-        }
-        bins.append(entry)
-        bin_t.append(entry["t_lo"])
-        bin_total.append(entry["mean_total"])
+        })
 
     summary = {
         "metadata": _metadata(cfg, "trainsim"),
@@ -553,7 +564,8 @@ def cmd_trainsim(cfg: RunConfig, world: tuple) -> int:
         "mean_total": float(arr[:, 4].mean()),
         "max_total": float(arr[:, 4].max()),
         "bins": bins,
-        "spearman_t_vs_total": _spearman(np.array(bin_t), np.array(bin_total))
+        "spearman_t_vs_total": _spearman(np.array([b["t_lo"] for b in bins]),
+                                         np.array([b["mean_total"] for b in bins]))
         if len(bins) > 1
         else None,
     }
@@ -606,20 +618,25 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 raise InvalidConfig(f"{name}: expected {f.type}, got {json.dumps(value)}")
     flags = [f for f in fields.values() if getattr(args, f.name, None) is not None]
     values.update((f.name, getattr(args, f.name)) for f in flags)
-    cfg = RunConfig(**values).validate()
+    cfg = RunConfig(**values).validate(args.command)
     for f in flags:
-        if f.metadata["unread"]:
-            unread, msg = f.metadata["unread"]
-            if unread(cfg, args.command):
-                raise InvalidConfig(f"{f.name}: {msg.format_map(vars(cfg))}")
+        why = _unread(cfg, f, args.command)
+        if why:
+            raise InvalidConfig(f"{f.name}: {why}")
     return cfg
 
 
-COMMANDS = dict(zip(ALL, (cmd_schedule, cmd_diffuse, cmd_estimate, cmd_trainsim)))
+COMMANDS = {
+    "schedule": cmd_schedule,
+    "diffuse": cmd_diffuse,
+    "estimate": cmd_estimate,
+    "trainsim": cmd_trainsim,
+}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
         world = _build_world(cfg)

@@ -446,7 +446,10 @@ BAD_INVOCATIONS = {
     "estimate-out-missing-dir": ["estimate", "--out", "missing/x"],
     "trainsim-out-missing-dir": ["trainsim", "--out", "missing/x"],
     "estimate-out-under-a-file": ["estimate", "--out", "a_file/x"],
+    "estimate-out-csv-is-a-directory": ["estimate", "--out", "d"],
+    "trainsim-out-json-is-a-directory": ["trainsim", "--out", "e"],
     "trajectories-missing-dir": ["estimate", "--trajectories", "missing/t.csv"],
+    "trajectories-is-a-directory": ["estimate", "--trajectories", "d.csv", "--out", "o"],
     "trajectories-is-out-csv": ["estimate", "--trajectories", "same.csv", "--out", "same"],
     "trajectories-is-out-json": ["estimate", "--trajectories", "./same.json", "--out", "same"],
 }
@@ -456,6 +459,8 @@ BAD_INVOCATIONS = {
 def test_bad_invocation_exits_2_with_one_line_and_no_file(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a_file").write_text("")
+    (tmp_path / "d.csv").mkdir()
+    (tmp_path / "e.json").mkdir()
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's errors
@@ -463,7 +468,38 @@ def test_bad_invocation_exits_2_with_one_line_and_no_file(argv, tmp_path, monkey
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "d.csv", "e.json"]
+    assert not any((tmp_path / "d.csv").iterdir()) and not any((tmp_path / "e.json").iterdir())
+
+
+# Runs that leave a field at a value they would reject, and do not read that field.
+UNREAD_VALUES = {
+    # The default ddim_steps, 5, exceeds the 3 steps; only ddim and direct read it.
+    "schedule-3-steps": ["schedule", "--steps", "3"],
+    "diffuse-3-steps": ["diffuse", "--steps", "3", "--timesteps", "1,3"],
+    "trainsim-3-steps": ["trainsim", "--steps", "3"],
+    "tracking-3-steps": ["estimate", "--mode", "tracking", "--steps", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", UNREAD_VALUES.values(), ids=UNREAD_VALUES.keys())
+def test_a_field_the_run_does_not_read_is_not_checked(argv, tmp_path):
+    scenarios = [] if argv[0] == "schedule" else ["--scenarios", "2"]  # schedule draws none
+    assert main([*argv, *scenarios, "--out", str(tmp_path / "run")]) == 0
+    with pytest.raises(InvalidConfig, match="ddim_steps"):
+        RunConfig(steps=3, timesteps="1").validate()  # without a command, every field
+
+
+def test_modes_other_than_ddim_do_not_read_eta(tmp_path):
+    """A config file's eta reaches only ddim, so tracking with an infinite one still runs."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eta": float("inf"), "sigma_form": "standard"}))
+    outs = [str(tmp_path / "plain"), str(tmp_path / "file")]
+    for mode in ("tracking", "direct"):
+        base = ["estimate", "--mode", mode, "--scenarios", "4", "--denoiser", "noisy:0.1"]
+        assert main([*base, "--out", outs[0]]) == 0
+        assert main([*base, "--config", str(path), "--out", outs[1]]) == 0
+        assert data_rows(outs[0] + ".csv") == data_rows(outs[1] + ".csv")
 
 
 def documented_flags() -> dict[str, set[str]]:
@@ -481,6 +517,7 @@ def documented_flags() -> dict[str, set[str]]:
 
 
 def test_every_field_is_read_and_the_flag_table_matches_the_parser():
+    assert set(cli.ALL) == set(cli.COMMANDS) and set(cli.SCENE) < set(cli.ALL)
     parser = cli.build_parser()
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     read = {a.dest for p in subs.values() for a in p._actions}

@@ -143,7 +143,8 @@ class RunConfig:
         lambda v, c: 0 < c.beta_start <= v < 1, "need 0 < beta_start <= beta_end < 1"))
     z_min: float = _field(0.3, SCENE, "nearest depth of the frustum box, meters")
     z_max: float = _field(3.0, SCENE, "farthest depth of the frustum box, meters")
-    # `_build_world` checks 0 < z_min < cz < z_max, as NormConfig requires.
+    # `_build_world` checks 0 < z_min < cz < z_max, as NormConfig requires, for the
+    # subcommands that draw scenarios.
     cz: float = _field(1.5, SCENE, "depth normalization offset, meters")
     gamma: float = _field(3.0, SCENE, "k-sigma containment multiplier", POSITIVE)
     margin: float = _field(0.05, SCENE, "frustum margin as an image fraction",
@@ -210,9 +211,13 @@ class RunConfig:
             raise InvalidConfig(f"timesteps: not a comma-separated int list: {exc}") from exc
 
 
-def _build_world(cfg: RunConfig):
-    """Shared wiring: schedule, normalization, scales, box, chain, oracle."""
+def _build_world(cfg: RunConfig, command: str | None = None) -> tuple:
+    """Shared wiring: schedule, normalization, scales, box, chain, oracle. Only the parts that
+    `command` reads are built (each, without one), so a config file's other fields cannot fail
+    it: `schedule` gets the schedule alone, and `diffuse` gets None for the oracle."""
     sched = make_linear_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
+    if command is not None and command not in SCENE:
+        return (sched,)
     try:
         norm = NormConfig(c_z=cfg.cz, z_min=cfg.z_min, z_max=cfg.z_max)
     except ValueError as exc:
@@ -232,7 +237,9 @@ def _build_world(cfg: RunConfig):
         chain = ChainSpec.from_json(cfg.chain) if cfg.chain else ChainSpec()
     except (OSError, ValueError, TypeError) as exc:
         raise InvalidConfig(f"chain: {exc}") from exc
-    oracle = parse_denoiser(cfg.denoiser, sched, scales, norm, competence=cfg.competence)
+    oracle = None
+    if command is None or not _unread(cfg, RunConfig.__dataclass_fields__["denoiser"], command):
+        oracle = parse_denoiser(cfg.denoiser, sched, scales, norm, competence=cfg.competence)
     return sched, norm, scales, box, chain, oracle
 
 
@@ -639,7 +646,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
-        world = _build_world(cfg)
+        world = _build_world(cfg, args.command)
     except (PoseDiffError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

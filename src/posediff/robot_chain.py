@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,18 +28,6 @@ def _default_axes(n: int) -> tuple[tuple[float, float, float], ...]:
     )
 
 
-def _axis_angle_matrices(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rodrigues rotations about unit axes (J, 3) by angles (..., J), shape (..., J, 3, 3)."""
-    x, y, z = axes.T
-    c, s = np.cos(angles), np.sin(angles)
-    C = 1.0 - c
-    M = np.empty(angles.shape + (3, 3))
-    M[..., 0, 0], M[..., 0, 1], M[..., 0, 2] = c + x * x * C, x * y * C - z * s, x * z * C + y * s
-    M[..., 1, 0], M[..., 1, 1], M[..., 1, 2] = y * x * C + z * s, c + y * y * C, y * z * C - x * s
-    M[..., 2, 0], M[..., 2, 1], M[..., 2, 2] = z * x * C - y * s, z * y * C + x * s, c + z * z * C
-    return M
-
-
 def _json_value(value, key: str, types: tuple = (int, float)):
     """`value`, read from the chain file's `key`, as the last of `types`."""
     # Types match exactly, so that a JSON true is not taken for 1 nor a string for a number.
@@ -48,17 +37,24 @@ def _json_value(value, key: str, types: tuple = (int, float)):
     return types[-1](value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainSpec:
-    """Geometry of the synthetic arm: link lengths (meters) and joint axes."""
+    """Geometry of the synthetic arm: link lengths (meters) and joint axes.
+
+    Frozen, and its sequences are stored as tuples, so the forward-kinematics
+    constants cached from them cannot go stale.
+    """
 
     n_joints: int = 7
     link_lengths: tuple = _DEFAULT_LENGTHS
     joint_axes: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.joint_axes is None:
-            self.joint_axes = _default_axes(self.n_joints)
+        axes = _default_axes(self.n_joints) if self.joint_axes is None else self.joint_axes
+        object.__setattr__(self, "joint_axes", tuple(tuple(ax) for ax in axes))
+        object.__setattr__(self, "link_lengths", tuple(self.link_lengths))
+        if self.n_joints < 1:
+            raise ValueError(f"a chain needs n_joints >= 1, got {self.n_joints}")
         if len(self.link_lengths) != self.n_joints:
             raise ValueError(
                 f"expected {self.n_joints} link lengths, got {len(self.link_lengths)}"
@@ -70,9 +66,26 @@ class ChainSpec:
         if not all(0 < l < math.inf for l in self.link_lengths):
             raise ValueError("link lengths must be positive and finite")
         for ax in self.joint_axes:
+            if len(ax) != 3:
+                raise ValueError(f"joint axis {ax} does not have 3 components")
             # Written so that a NaN component fails the comparison and is rejected.
             if not abs(np.linalg.norm(ax) - 1.0) <= 1e-9:
                 raise ValueError(f"joint axis {ax} is not unit-norm")
+
+    @cached_property
+    def _kinematics(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only constants of `forward_kinematics`: each joint's Rodrigues terms
+        `a aᵀ`, `[a]×` and I as (J, 3, 3, 1), and the link lengths as (J, 1, 1)."""
+        a = np.array(self.joint_axes, dtype=float)
+        x, y, z = a.T
+        zero = np.zeros_like(x)
+        outer = a[:, :, None, None] * a[:, None, :, None]
+        skew = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(-1, 3, 3, 1)
+        identity = np.broadcast_to(np.eye(3)[..., None], outer.shape)
+        lengths = np.array(self.link_lengths, dtype=float).reshape(-1, 1, 1)
+        for m in (outer, skew, lengths):
+            m.flags.writeable = False
+        return outer, skew, identity, lengths
 
     @classmethod
     def from_json(cls, path: str) -> "ChainSpec":
@@ -117,7 +130,9 @@ def forward_kinematics(spec: ChainSpec, joints: JointConfig) -> np.ndarray:
 
     Keypoint 0 sits at the origin; keypoint i+1 extends keypoint i by link i
     rotated through the composition of joints 1..i+1. Batched angles (N, n)
-    give (N, n+1, 3), each row as it would alone.
+    give (N, n+1, 3), each row as it would alone. The per-joint constants are
+    built once per chain (`ChainSpec._kinematics`), so a call costs a fixed
+    number of numpy operations, whatever its batch size.
 
     Raises:
         DimensionMismatch: if the angle count differs from n_joints.
@@ -127,14 +142,32 @@ def forward_kinematics(spec: ChainSpec, joints: JointConfig) -> np.ndarray:
         raise DimensionMismatch(
             f"chain has {spec.n_joints} joints, got {angles.shape[-1]} angles"
         )
-    M = _axis_angle_matrices(np.asarray(spec.joint_axes, dtype=float), angles)
-    keypoints = np.zeros(angles.shape[:-1] + (spec.n_joints + 1, 3))
-    R = np.eye(3)
-    for i, length in enumerate(spec.link_lengths):
-        R = R @ M[..., i, :, :]
-        # Link i lies along +X before rotation, so it points along R's first column.
-        keypoints[..., i + 1, :] = keypoints[..., i, :] + R[..., :, 0] * length
-    return keypoints
+    J = spec.n_joints
+    outer, skew, identity, lengths = spec._kinematics
+    # Joint-major with the batch innermost, angles as (J, N) (N = 1 for one configuration),
+    # so that each elementwise op below runs over the whole batch in one inner loop.
+    a = angles.reshape(-1, J).T
+    c, s = np.cos(a)[:, None, None, :], np.sin(a)[:, None, None, :]
+    # Rodrigues, a aᵀ (1 - cos) + [a]× sin + I cos, as (J, 3, 3, N) ...
+    M = outer * (1.0 - c)
+    M += skew * s
+    M += identity * c
+    # ... copied to (J, N, 3, 3) (no copy at N = 1) for the chain product, where R[i]
+    # composes joints 0..i. R[0] is M[0]: the product eye(3) @ M[0] could differ from it
+    # only in the sign of a zero, which no keypoint shows.
+    M = np.ascontiguousarray(M.transpose(0, 3, 1, 2))
+    R = np.empty_like(M)
+    R[0] = M[0]
+    for i in range(1, J):
+        np.matmul(R[i - 1], M[i], out=R[i])
+    # Link i lies along +X before rotation, so it points along R[i]'s first column.
+    # Keypoint i + 1 sums links 0..i in order, as (J + 1, N, 3); callers get a fresh
+    # C-contiguous (..., J + 1, 3) array.
+    keypoints = np.zeros((J + 1,) + R.shape[1:3])
+    np.multiply(R[..., 0], lengths, out=keypoints[1:])
+    np.cumsum(keypoints, axis=0, out=keypoints)
+    keypoints = np.ascontiguousarray(keypoints.transpose(1, 0, 2))
+    return keypoints.reshape(angles.shape[:-1] + (J + 1, 3))
 
 
 def sample_points(spec: ChainSpec, joints: JointConfig, per_link: int = 9) -> np.ndarray:

@@ -50,9 +50,9 @@ def test_world_is_built_once_per_run(command, tmp_path, monkeypatch):
     calls = []
     build_world = cli._build_world
 
-    def counted(cfg):
+    def counted(cfg, *args):
         calls.append(cfg)
-        return build_world(cfg)
+        return build_world(cfg, *args)
 
     monkeypatch.setattr(cli, "_build_world", counted)
     scenarios = [] if command == "schedule" else ["--scenarios", "2"]  # schedule draws none
@@ -488,6 +488,23 @@ def test_a_field_the_run_does_not_read_is_not_checked(argv, tmp_path):
     assert main([*argv, *scenarios, "--out", str(tmp_path / "run")]) == 0
     with pytest.raises(InvalidConfig, match="ddim_steps"):
         RunConfig(steps=3, timesteps="1").validate()  # without a command, every field
+
+
+@pytest.mark.parametrize("command, values", [
+    ("schedule", {"chain": "nope.json"}),
+    ("schedule", {"z_min": 5}),
+    ("diffuse", {"denoiser": "nope"}),
+], ids=["schedule-chain", "schedule-z-min", "diffuse-denoiser"])
+def test_a_config_file_field_the_run_does_not_read_is_not_built(command, values, tmp_path):
+    """Only what the subcommand reads is built from a shared config file: `schedule` builds
+    no scenario world and `diffuse` no oracle."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    scenarios = [] if command == "schedule" else ["--scenarios", "2"]  # schedule draws none
+    outs = [str(tmp_path / "plain"), str(tmp_path / "file")]
+    assert main([command, *scenarios, "--out", outs[0]]) == 0
+    assert main([command, *scenarios, "--config", str(path), "--out", outs[1]]) == 0
+    assert data_rows(outs[0] + ".csv") == data_rows(outs[1] + ".csv")
 
 
 def test_modes_other_than_ddim_do_not_read_eta(tmp_path):

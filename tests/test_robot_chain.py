@@ -1,5 +1,6 @@
 """Tests for the synthetic serial-link chain."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -90,6 +91,96 @@ def batch_angles(n_joints):
     return np.concatenate([special, rows])
 
 
+def reference_axis_angle_matrices(axes, angles):
+    """The per-element Rodrigues formula that `forward_kinematics` replaced, verbatim."""
+    x, y, z = axes.T
+    c, s = np.cos(angles), np.sin(angles)
+    C = 1.0 - c
+    M = np.empty(angles.shape + (3, 3))
+    M[..., 0, 0], M[..., 0, 1], M[..., 0, 2] = c + x * x * C, x * y * C - z * s, x * z * C + y * s
+    M[..., 1, 0], M[..., 1, 1], M[..., 1, 2] = y * x * C + z * s, c + y * y * C, y * z * C - x * s
+    M[..., 2, 0], M[..., 2, 1], M[..., 2, 2] = z * x * C - y * s, z * y * C + x * s, c + z * z * C
+    return M
+
+
+def reference_forward_kinematics(spec, joints):
+    """The link-by-link forward kinematics that the joint-major kernel replaced, verbatim."""
+    angles = joints.angles
+    if angles.shape[-1] != spec.n_joints:
+        raise DimensionMismatch(
+            f"chain has {spec.n_joints} joints, got {angles.shape[-1]} angles"
+        )
+    M = reference_axis_angle_matrices(np.asarray(spec.joint_axes, dtype=float), angles)
+    keypoints = np.zeros(angles.shape[:-1] + (spec.n_joints + 1, 3))
+    R = np.eye(3)
+    for i, length in enumerate(spec.link_lengths):
+        R = R @ M[..., i, :, :]
+        # Link i lies along +X before rotation, so it points along R's first column.
+        keypoints[..., i + 1, :] = keypoints[..., i, :] + R[..., :, 0] * length
+    return keypoints
+
+
+def random_chains(count=12):
+    """Seeded unit-axis chains of 1 to 8 joints, with exact-zero axis components
+    (whole coordinate axes among them) and negated axes."""
+    rng = np.random.default_rng(12)
+    chains = []
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        axes = rng.standard_normal((n, 3))
+        axes[rng.random((n, 3)) < 0.35] = 0.0
+        axes[~axes.any(axis=1), int(rng.integers(3))] = 1.0
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        axes[rng.random(n) < 0.4] *= -1.0
+        chains.append(ChainSpec(n_joints=n, link_lengths=tuple(rng.uniform(0.05, 0.5, n)),
+                                joint_axes=tuple(map(tuple, axes))))
+    return chains
+
+
+KERNEL_CHAINS = {"default": ChainSpec(), "tilted": TILTED_CHAIN,
+                 **{f"random{k}": spec for k, spec in enumerate(random_chains())}}
+
+
+class TestKernelMatchesReference:
+    """The joint-major kernel gives the replaced link-by-link result bit for bit."""
+
+    @pytest.mark.parametrize("spec", KERNEL_CHAINS.values(), ids=KERNEL_CHAINS.keys())
+    @pytest.mark.parametrize("n", [None, 8, 250], ids=["unbatched", "N=8", "N=250"])
+    def test_forward_kinematics_matches_reference(self, spec, n):
+        rows = batch_angles(spec.n_joints)
+        batches = list(rows) if n is None else [np.resize(rows, (n, spec.n_joints))]
+        for angles in batches:
+            before = angles.copy()
+            got = forward_kinematics(spec, JointConfig(angles))
+            assert_same_bits(got, reference_forward_kinematics(spec, JointConfig(angles)))
+            assert got.flags.c_contiguous
+            assert_same_bits(angles, before)
+
+    def test_result_is_a_fresh_array_callers_may_overwrite(self):
+        angles = batch_angles(7)
+        out = forward_kinematics(ChainSpec(), JointConfig(angles))
+        out *= -1.0
+        assert_same_bits(forward_kinematics(ChainSpec(), JointConfig(angles)),
+                         reference_forward_kinematics(ChainSpec(), JointConfig(angles)))
+
+    def test_chain_fields_cannot_be_assigned(self):
+        chain = ChainSpec()
+        forward_kinematics(chain, JointConfig.zeros(chain.n_joints))
+        for name, value in (("n_joints", 3), ("link_lengths", (0.5, 0.4, 0.3)),
+                            ("joint_axes", ((1.0, 0.0, 0.0),) * 7)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(chain, name, value)
+        assert_same_bits(forward_kinematics(chain, JointConfig(batch_angles(7))),
+                         reference_forward_kinematics(ChainSpec(), JointConfig(batch_angles(7))))
+
+    def test_sequences_are_stored_as_tuples(self):
+        lengths, axes = [0.5, 0.4], [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        chain = ChainSpec(n_joints=2, link_lengths=lengths, joint_axes=axes)
+        lengths[0], axes[0][2] = 9.0, -1.0
+        assert chain.link_lengths == (0.5, 0.4)
+        assert chain.joint_axes == ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
+
+
 class TestBatchedKinematics:
     """An (N, J) batch of joint angles gives each row's single-configuration result."""
 
@@ -154,3 +245,13 @@ class TestChainSpec:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValueError, match="unit-norm"):
             ChainSpec(n_joints=1, link_lengths=(0.5,), joint_axes=((0, 0, 2),))
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n_joints": 0, "link_lengths": ()}, "n_joints >= 1"),
+        ({"n_joints": 1, "link_lengths": (0.3,), "joint_axes": ((1.0, 0.0),)}, "3 components"),
+        ({"n_joints": 1, "link_lengths": (0.3,), "joint_axes": ((0.0, 0.0, 1.0, 0.0),)},
+         "3 components"),
+    ], ids=["no-joints", "2-component-axis", "4-component-axis"])
+    def test_chain_that_forward_kinematics_cannot_run_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ChainSpec(**kwargs)

@@ -65,7 +65,10 @@ def test_single_scenario_run_raises_non_finite_state(norm_cfg, sched, chain):
                                    {"n_joints": True, "link_lengths": [0.3]},
                                    {"link_lengths": [np.nan, 0.2]},
                                    {"link_lengths": [np.inf, 0.2]},
-                                   {"link_lengths": [0.3], "joint_axes": [[np.nan, 0.0, 1.0]]}])
+                                   {"link_lengths": [0.3], "joint_axes": [[np.nan, 0.0, 1.0]]},
+                                   {"link_lengths": []},
+                                   {"n_joints": 2, "link_lengths": [0.3, 0.2],
+                                    "joint_axes": [[0, 0, 1], [1, 0]]}])
 def test_bad_chain_file_exits_2_with_one_line(chain, tmp_path, capsys):
     path = tmp_path / "chain.json"
     if chain is not None:

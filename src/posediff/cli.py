@@ -28,7 +28,6 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,7 +315,10 @@ def _run_chunks(cfg: RunConfig, world: tuple, run_chunk) -> Iterator:
 
 def _pool_map(fn, items: list, workers: int) -> Iterator:
     """`map(fn, items)` on `workers` threads with at most `workers` items in flight,
-    so that memory holds those results and the one being consumed, not all of them."""
+    so that memory holds those results and the one being consumed, not all of them.
+    Only --workers > 1 starts a pool, so only such a run imports `concurrent.futures`."""
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         in_flight = collections.deque(pool.submit(fn, item) for item in items[:workers])
         for item in items[workers:]:
@@ -466,6 +468,8 @@ def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios
 
 def cmd_estimate(cfg: RunConfig, world: tuple) -> int:
     """Run reverse estimation; CSV columns: scenario, add, steps, mode, aborted, reason."""
+    import statistics  # only here, so that no other subcommand loads it
+
     rcfg = _estimate_reverse_config(cfg)
     t0 = time.perf_counter()
     chunks = _run_chunks(cfg, world, lambda c, w, chunk: _estimate_chunk(c, w, rcfg, chunk))
@@ -497,7 +501,9 @@ def cmd_estimate(cfg: RunConfig, world: tuple) -> int:
         "auc": auc(adds),
         "auc_grid": {"t_min": 1e-5, "t_max": 0.1, "n_thresholds": 2000},
         "mean_add": float(np.mean(finite)) if finite else float("inf"),
-        "median_add": float(np.median(finite)) if finite else float("inf"),
+        # `statistics.median` gives np.median's value on these non-negative
+        # floats without importing `numpy.ma`, which np.median's first call does.
+        "median_add": statistics.median(finite) if finite else float("inf"),
         "scenarios": cfg.scenarios,
         "aborted": aborted,
         "abort_reasons": sorted({r[5] for r in rows if r[4]}),

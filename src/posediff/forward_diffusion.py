@@ -18,6 +18,7 @@ seed; a `clamp=False` hook exposes the raw process for verification.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,10 +148,26 @@ def sample_timestep(sched: Schedule, rng: np.random.Generator) -> int:
 
 def standard_normal(rng) -> np.ndarray:
     """Nine standard normal draws from one generator, or an (N, 9) array
-    holding nine from each generator of a sequence, in order."""
+    holding nine from each generator of a sequence, in order, or the next
+    (N, 9) block of a `noise_blocks` iterator."""
     if isinstance(rng, np.random.Generator):
         return rng.standard_normal(9)
+    if isinstance(rng, Iterator):
+        return next(rng)
     return np.array([g.standard_normal(9) for g in rng]).reshape(-1, 9)
+
+
+def noise_blocks(rngs, steps: int) -> Iterator[np.ndarray]:
+    """The next `steps` `standard_normal(rngs)` results, drawn lazily.
+
+    Nothing is drawn until the first block is asked for; then each generator
+    draws all of its `steps` nine-vectors in one call. One (k, 9) call returns
+    exactly the k successive (9,) draws, so the blocks and every generator's
+    state end as they would after `steps` calls of `standard_normal(rngs)`.
+    """
+    block = np.array([g.standard_normal((steps, 9)) for g in rngs]).reshape(-1, steps, 9)
+    for k in range(steps):
+        yield block[:, k]
 
 
 def diffuse_normalized(

@@ -129,16 +129,20 @@ def generate_scenarios(
     cfg = cfg or NormConfig()
     box = box or FrustumBox.for_config(cfg)
 
+    # The joints, tx, ty and tz are consecutive uniforms: one `random` call
+    # scaled as `Generator.uniform` scales each element, lo + (hi - lo) * u.
+    J = chain.n_joints
+    lo = np.array([-JOINT_LIMIT] * J + [-box.xy_bound, -box.xy_bound, box.z_bound[0]])
+    span = np.array([JOINT_LIMIT] * J + [box.xy_bound, box.xy_bound, box.z_bound[1]]) - lo
     scenarios = []
     for i in range(count):
         rng = scenario_rng(seed, i, STREAM_SCENARIO)
         f = float(rng.uniform(*FOCAL_RANGE))
         w, h = IMAGE_SIZES[int(rng.integers(len(IMAGE_SIZES)))]
         intrinsics = CameraIntrinsics(f=f, w=w, h=h)
-        joints = JointConfig(rng.uniform(-JOINT_LIMIT, JOINT_LIMIT, chain.n_joints))
-        tx_n = float(rng.uniform(-box.xy_bound, box.xy_bound))
-        ty_n = float(rng.uniform(-box.xy_bound, box.xy_bound))
-        tz_n = float(rng.uniform(*box.z_bound))
+        u = lo + span * rng.random(J + 3)
+        joints = JointConfig(u[:J])
+        tx_n, ty_n, tz_n = u[J:].tolist()
         while True:
             # Gaussian 6D draws are degenerate only on a measure-zero set;
             # redrawing keeps generation total and deterministic.
@@ -162,10 +166,9 @@ def make_observation(scenario: Scenario, chain: ChainSpec, seed: int) -> Observa
     keypoints = forward_kinematics(chain, scenario.joints)
     cam_pts = scenario.gt_pose.transform(keypoints)
     K = scenario.intrinsics
-    uv = np.full((cam_pts.shape[0], 2), np.nan)
-    visible = cam_pts[:, 2] > 0
-    uv[visible, 0] = K.f * cam_pts[visible, 0] / cam_pts[visible, 2] + K.cx
-    uv[visible, 1] = K.f * cam_pts[visible, 1] / cam_pts[visible, 2] + K.cy
+    z = cam_pts[:, 2:]
+    uv = np.divide(K.f * cam_pts[:, :2], z, out=np.full((len(z), 2), np.nan), where=z > 0)
+    uv += (K.cx, K.cy)
     return Observation(
         gt_pose=scenario.gt_pose,
         intrinsics=K,

@@ -38,7 +38,14 @@ from .errors import (
     NonFiniteState,
     fail_where,
 )
-from .forward_diffusion import FrustumBox, NoiseScales, Schedule, ddim_timesteps, standard_normal
+from .forward_diffusion import (
+    FrustumBox,
+    NoiseScales,
+    Schedule,
+    ddim_timesteps,
+    noise_blocks,
+    standard_normal,
+)
 from .mononorm import NormConfig, NormalizedPose, denormalize, normalize
 from .robot_chain import ChainSpec, forward_kinematics
 from .se3_camera import Pose
@@ -217,12 +224,18 @@ def _lockstep(
     first failing check in `Trajectory.reasons` and runs the row on; every
     step works row by row, so the other rows are unaffected, and nothing
     computed for an aborted row after its abort is reported.
+
+    After the initial pose, a batch's oracle noise comes from `noise_blocks`:
+    each row's generator draws its whole loop's noise in one call, at the
+    first oracle draw, so an oracle that draws nothing leaves it untouched.
     """
     batched = obs.gt_pose.t.ndim == 2
     reasons = np.full(obs.gt_pose.t.shape[0], "", dtype=object) if batched else None
     traj = Trajectory(reasons=reasons)
     with np.errstate(all="ignore"):
         pose = _initial_pose(rcfg, scales, cfg, obs, rng, prev_pose, reasons)
+        if batched:
+            rng = noise_blocks(rng, len(plan))
         for index, (label, t, t_prev) in enumerate(plan):
             if t_prev is None:
                 pose = denoise(pose, t, obs, oracle, rng, reasons)

@@ -32,6 +32,19 @@ GOLDEN = {
         {"run.csv": "4e238037630680d1a93228f480f3b7ad62d3c20baaa730ef858ff8175c6f6592",
          "traj.csv": "67d8db7ea07cbceb34238436004d2cf0b8597f9e036c8fd791af04216d85e755"},
     ),
+    # Oracle noise from every row's generator, after a prior-sample init.
+    "estimate-noisy-prior-sample": (
+        ["estimate", "--scenarios", "40", "--seed", "6", "--denoiser", "noisy:0.3",
+         "--init", "prior-sample", "--trajectories", "{tmp}/traj.csv"], 0,
+        {"run.csv": "8755df94df39dbe75ea87212e289d7d5ce24753c58a683baf98579d001debfe6",
+         "traj.csv": "0c36c22d86d9a6d673793db262059717b76a1fedd0348ce355098b7be7ac40b5"},
+    ),
+    # Oracle noise in two worker chunks of the direct baseline.
+    "estimate-noisy-direct-workers": (
+        ["estimate", "--scenarios", "40", "--seed", "6", "--mode", "direct", "--denoiser",
+         "noisy:0.5", "--workers", "2"], 0,
+        {"run.csv": "5093df432eec165903ddef37a77131ad11cfa24e1d86a2df60196c27fec98ab1"},
+    ),
     "schedule-standard": (
         ["schedule", "--sigma-form", "standard", "--eta", "0.5"], 0,
         {"run.csv": "ce66fb9a32d6ada53218a31402b6f4957eea849ce43e8753c756faf143945049"},

@@ -34,7 +34,6 @@ from .forward_diffusion import (
     sample_timestep,
 )
 from .metrics import (
-    Scenario,
     ScenarioSet,
     add_metric,
     auc,

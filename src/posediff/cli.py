@@ -44,6 +44,7 @@ from .forward_diffusion import (
     sample_timestep,
 )
 from .metrics import (
+    AUC_GRID,
     FOCAL_RANGE,
     IMAGE_SIZES,
     STREAM_DIFFUSE,
@@ -346,8 +347,9 @@ def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     t = np.tile(ts, len(scenarios))
     K = batch.intrinsics[rows]
     n = diffuse_normalized(n0[rows], t, sched, scales, eps, box if cfg.clamp else None)
-    # Rows behind the camera or with a degenerate rotation are recorded in
-    # `reasons` instead of raising; in_frustum counts them as outside.
+    # Rows behind the camera or with a degenerate rotation are recorded in `reasons`
+    # instead of raising. in_frustum reads only the translation, so only the rows
+    # behind the camera always count as outside.
     reasons = np.full(len(n), "", dtype=object)
     with np.errstate(all="ignore"):
         pose = denormalize(NormalizedPose.from_vector(n), K, norm, reasons)
@@ -355,7 +357,7 @@ def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     behind = pose.t[:, 2] <= 0
     u = np.where(behind, np.nan, K.w * n[:, 6] + K.cx)
     v = np.where(behind, np.nan, K.h * n[:, 7] + K.cy)
-    index = np.array([sc.index for sc in scenarios])[rows]
+    index = batch.index[rows]
     # Columns of Python values, which print as the numpy values do, only faster.
     cols = (index, t, inside.astype(int), n[:, 6], n[:, 7], n[:, 8], u, v)
     csv_rows = zip(*(col.tolist() for col in cols))
@@ -458,12 +460,12 @@ def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios
     done = traj.reasons == ""
     adds = np.full(len(scenarios), np.inf)
     adds[done] = add_metric(batch.gt_pose[done], final[done], keypoints[done])
-    index = np.array([sc.index for sc in scenarios])
+    index = batch.index.tolist()
     rows = [
         (i, add, len(traj) if ok else 0, cfg.mode, int(not ok), reason)
-        for i, add, ok, reason in zip(index.tolist(), adds.tolist(), done.tolist(), traj.reasons)
+        for i, add, ok, reason in zip(index, adds.tolist(), done.tolist(), traj.reasons)
     ]
-    return rows, _trajectory_rows(traj, index, done) if cfg.trajectories else ()
+    return rows, _trajectory_rows(traj, batch.index, done) if cfg.trajectories else ()
 
 
 def cmd_estimate(cfg: RunConfig, world: tuple) -> int:
@@ -499,7 +501,7 @@ def cmd_estimate(cfg: RunConfig, world: tuple) -> int:
     summary = {
         "metadata": _metadata(cfg, "estimate"),
         "auc": auc(adds),
-        "auc_grid": {"t_min": 1e-5, "t_max": 0.1, "n_thresholds": 2000},
+        "auc_grid": AUC_GRID,
         "mean_add": float(np.mean(finite)) if finite else float("inf"),
         # `statistics.median` gives np.median's value on these non-negative
         # floats without importing `numpy.ma`, which np.median's first call does.

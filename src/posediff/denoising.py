@@ -72,17 +72,18 @@ class DenoiserOutput:
 
 @dataclass
 class Observation:
-    """Everything an estimation run may condition on for one scenario.
+    """One scenario: everything an estimation run may condition on.
 
-    Stands in for the image: ground truth (visible only to oracles), the
-    camera, the joint configuration, and the projected 2D keypoints.
-    Keypoints behind the camera are stored as NaN rows.
+    Stands in for the image: the index, ground truth (visible only to
+    oracles), the camera, the joints, and the projected 2D keypoints that
+    `metrics.make_observation` adds, with NaN rows behind the camera.
 
-    A batch (`Observation.stack`) holds a batched `gt_pose`, `intrinsics`
-    and `joints`, whose angles are (N, J); no estimator reads the 2D
-    keypoints, so a batch leaves them out.
+    A batch (`Observation.stack`) holds (N,) indices and a batched `gt_pose`,
+    `intrinsics` and `joints`, whose angles are (N, J); no estimator reads
+    the 2D keypoints, so a batch leaves them out.
     """
 
+    index: int | np.ndarray
     gt_pose: Pose
     intrinsics: CameraIntrinsics
     joints: JointConfig
@@ -90,9 +91,9 @@ class Observation:
 
     @classmethod
     def stack(cls, observations) -> "Observation":
-        """One batch from a sequence of single-scenario observations, or of
-        the `Scenario`s themselves, which have the same fields; angles stack to (N, J)."""
+        """One batch from a sequence of single-scenario observations; angles stack to (N, J)."""
         return cls(
+            np.array([o.index for o in observations]),
             Pose.stack([o.gt_pose for o in observations]),
             CameraIntrinsics.stack([o.intrinsics for o in observations]),
             JointConfig(np.stack([o.joints.angles for o in observations])),

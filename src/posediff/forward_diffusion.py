@@ -27,6 +27,9 @@ from .errors import DegenerateRotation6D, InvalidScheduleParams
 from .mononorm import NormConfig, NormalizedPose, denormalize, normalize
 from .se3_camera import CameraIntrinsics, Pose
 
+# Redraws `diffuse` grants a row whose noised rotation is degenerate before it raises.
+MAX_RETRIES = 16
+
 
 @dataclass
 class Schedule:
@@ -58,10 +61,7 @@ def make_linear_schedule(
         raise InvalidScheduleParams(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
-    if T == 1:
-        beta = np.array([beta_start])
-    else:
-        beta = np.linspace(beta_start, beta_end, T)
+    beta = np.linspace(beta_start, beta_end, T)
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
     return Schedule(T=T, beta=beta, alpha_bar=alpha_bar)
 
@@ -205,7 +205,6 @@ def diffuse(
     rng,
     clamp: bool = True,
     eps: np.ndarray | None = None,
-    max_retries: int = 16,
 ) -> Pose:
     """Draw noisy in-frustum poses from the forward process.
 
@@ -214,7 +213,7 @@ def diffuse(
     single pose runs as a batch of one. Each row draws nine standard normals
     from its own generator. If a row's noised rotation components are
     degenerate under Gram-Schmidt, that row alone redraws from its generator,
-    up to `max_retries` times, before the error propagates. Passing an
+    up to `MAX_RETRIES` times, before the error propagates. Passing an
     explicit `eps` of shape (9,) or (N, 9) (test hook) disables retries.
 
     t = 0 is permitted and returns pose0 reconstructed exactly (alpha_bar
@@ -234,7 +233,7 @@ def diffuse(
         t = t.reshape(1)
     n0 = normalize(pose0, intrinsics, cfg).as_vector()
     e = standard_normal(rng) if eps is None else np.array(eps, dtype=float).reshape(n0.shape)
-    attempts = max_retries if eps is None else 0
+    attempts = MAX_RETRIES if eps is None else 0
     for attempt in range(attempts + 1):
         n_t = diffuse_normalized(n0, t, sched, scales, e, box if clamp else None)
         reasons = np.full(len(n0), "", dtype=object)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoising import Observation
+from .denoising import Observation, point_distance
 from .errors import DegenerateRotation6D, EmptyPointSet, InvalidRange
 from .forward_diffusion import FrustumBox
 from .mononorm import NormConfig, NormalizedPose, denormalize
@@ -39,6 +39,9 @@ FOCAL_RANGE = (400.0, 900.0)
 IMAGE_SIZES = ((640, 480), (1280, 720))
 JOINT_LIMIT = np.pi
 
+# The threshold grid of `auc`'s defaults, which every estimate JSON reports as `auc_grid`.
+AUC_GRID = {"t_min": 1e-5, "t_max": 0.1, "n_thresholds": 2000}
+
 
 def scenario_rng(seed: int, index: int, stream: int) -> np.random.Generator:
     """Independent generator for one (seed, scenario, purpose) triple."""
@@ -48,29 +51,20 @@ def scenario_rng(seed: int, index: int, stream: int) -> np.random.Generator:
 def add_metric(gt: Pose, pred: Pose, keypoints: np.ndarray) -> np.ndarray:
     """Mean keypoint distance between the two poses, in meters.
 
-    Kept independent of `denoising.point_distance` so the two serve as
-    cross-checks. Single poses give a numpy scalar; batched poses with
-    (N, K, 3) keypoints give one ADD per row.
+    Single poses give a numpy scalar; batched poses with (N, K, 3)
+    keypoints give one ADD per row.
 
     Raises:
         EmptyPointSet: on an empty keypoint list.
     """
-    pts = np.asarray(keypoints, dtype=float)
-    if pts.ndim < 2:
-        pts = pts.reshape(-1, 3)
-    if pts.shape[-2] == 0:
-        raise EmptyPointSet("keypoint list is empty")
-    cols = np.swapaxes(pts, -1, -2)
-    a = np.swapaxes(gt.R @ cols, -1, -2) + gt.t[..., None, :]
-    b = np.swapaxes(pred.R @ cols, -1, -2) + pred.t[..., None, :]
-    return np.sqrt(((a - b) ** 2).sum(axis=-1)).mean(axis=-1)
+    return point_distance(gt, pred, keypoints)
 
 
 def auc(
     adds,
-    t_min: float = 1e-5,
-    t_max: float = 0.1,
-    n_thresholds: int = 2000,
+    t_min: float = AUC_GRID["t_min"],
+    t_max: float = AUC_GRID["t_max"],
+    n_thresholds: int = AUC_GRID["n_thresholds"],
 ) -> float:
     """Area under the ADD success curve on a linear threshold grid, 0-100.
 
@@ -92,14 +86,6 @@ def auc(
     thresholds = np.linspace(t_min, t_max, n_thresholds)
     below = np.searchsorted(finite, thresholds, side="left")
     return float(100.0 * below.mean() / values.size)
-
-
-@dataclass
-class Scenario:
-    index: int
-    intrinsics: CameraIntrinsics
-    joints: JointConfig
-    gt_pose: Pose
 
 
 @dataclass
@@ -152,12 +138,12 @@ def generate_scenarios(
                 break
             except DegenerateRotation6D:
                 continue
-        scenarios.append(Scenario(index=i, intrinsics=intrinsics, joints=joints, gt_pose=gt))
+        scenarios.append(Observation(index=i, gt_pose=gt, intrinsics=intrinsics, joints=joints))
     return ScenarioSet(scenarios)
 
 
-def make_observation(scenario: Scenario, chain: ChainSpec, seed: int) -> Observation:
-    """Observation for one scenario, with its projected keypoints.
+def make_observation(scenario: Observation, chain: ChainSpec, seed: int) -> Observation:
+    """The scenario with its projected keypoints.
 
     Keypoints that fall behind the camera project to NaN rows; the robot
     base itself is always in front by construction. An observation draws
@@ -170,6 +156,7 @@ def make_observation(scenario: Scenario, chain: ChainSpec, seed: int) -> Observa
     uv = np.divide(K.f * cam_pts[:, :2], z, out=np.full((len(z), 2), np.nan), where=z > 0)
     uv += (K.cx, K.cy)
     return Observation(
+        index=scenario.index,
         gt_pose=scenario.gt_pose,
         intrinsics=K,
         joints=scenario.joints,

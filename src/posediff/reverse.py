@@ -110,9 +110,6 @@ class Trajectory:
     steps: list = field(default_factory=list)
     reasons: np.ndarray | None = None
 
-    def append(self, step: TrajectoryStep) -> None:
-        self.steps.append(step)
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -253,7 +250,7 @@ def _lockstep(
             )
             if batched:
                 add = np.where(reasons == "", add, np.nan)
-            traj.append(TrajectoryStep(index, label, t, pose, add))
+            traj.steps.append(TrajectoryStep(index, label, t, pose, add))
     return pose, traj
 
 

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import os
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from posediff import ChainSpec, FrustumBox, NormConfig, Pose, generate_scenarios, in_frustum
+from posediff import ChainSpec, FrustumBox, NormConfig, Pose, auc, generate_scenarios, in_frustum
 from posediff import cli
 from posediff.cli import RunConfig, main
 from posediff.errors import ABORTS, InvalidConfig, NonFiniteState
@@ -158,6 +159,13 @@ class TestEstimateCommand:
         assert summary["auc"] == pytest.approx(100.0, abs=0.01)
         assert summary["mean_add"] < 1e-6
         assert summary["aborted"] == 0
+
+    def test_auc_grid_is_the_grid_of_auc_defaults(self, tmp_path):
+        out = str(tmp_path / "est")
+        assert main(["estimate", "--scenarios", "8", "--seed", "2", "--out", out]) == 0
+        params = inspect.signature(auc).parameters
+        defaults = {name: p.default for name, p in params.items() if name != "adds"}
+        assert json.loads(read(out + ".json"))["auc_grid"] == defaults
 
     def test_modes_produce_ablation_pair(self, tmp_path):
         oa, ob = str(tmp_path / "ddim"), str(tmp_path / "direct")

@@ -28,7 +28,6 @@ from posediff import (
     NormConfig,
     Observation,
     Pose,
-    Scenario,
     denormalize,
     forward_kinematics,
     generate_scenarios,
@@ -118,7 +117,7 @@ def reference_generate_scenarios(seed, count, box, chain, cfg):
                 break
             except DegenerateRotation6D:
                 continue
-        scenarios.append(Scenario(index=i, intrinsics=intrinsics, joints=joints, gt_pose=gt))
+        scenarios.append(Observation(index=i, gt_pose=gt, intrinsics=intrinsics, joints=joints))
     return scenarios
 
 
@@ -159,7 +158,7 @@ def test_projection_matches_boolean_indexed_reference():
             Pose(np.eye(3), t * [1.0, 1.0, 0.0]),  # the base and first joint at z = 0
             Pose(np.eye(3), t * [1.0, 1.0, -0.0]),
         ][sc.index % 4]
-        sc = Scenario(sc.index, sc.intrinsics, sc.joints, pose)
+        sc = Observation(index=sc.index, gt_pose=pose, intrinsics=sc.intrinsics, joints=sc.joints)
         cam_pts = pose.transform(forward_kinematics(chain, sc.joints))
         behind += int((cam_pts[:, 2] < 0).sum())
         zero += int((cam_pts[:, 2] == 0).sum())

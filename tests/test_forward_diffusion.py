@@ -38,6 +38,9 @@ class TestSchedule:
     def test_single_step_schedule(self):
         s = make_linear_schedule(T=1, beta_start=0.5, beta_end=0.5)
         np.testing.assert_array_equal(s.alpha_bar, [1.0, 0.5])
+        # Distinct endpoints tell linspace's T = 1 value from beta_end.
+        s = make_linear_schedule(T=1, beta_start=1e-4, beta_end=0.02)
+        assert_same_bits(s.beta, np.array([1e-4]))
 
     def test_first_factor_is_exact(self):
         s = make_linear_schedule()

@@ -35,7 +35,47 @@ def exact_auc(adds, t_min=1e-5, t_max=0.1):
     return 100.0 * float(np.mean(covered / (t_max - t_min)))
 
 
+def reference_add_metric(gt, pred, keypoints):
+    """`add_metric`'s own formula before it called `point_distance`, verbatim."""
+    pts = np.asarray(keypoints, dtype=float)
+    if pts.ndim < 2:
+        pts = pts.reshape(-1, 3)
+    if pts.shape[-2] == 0:
+        raise EmptyPointSet("keypoint list is empty")
+    cols = np.swapaxes(pts, -1, -2)
+    a = np.swapaxes(gt.R @ cols, -1, -2) + gt.t[..., None, :]
+    b = np.swapaxes(pred.R @ cols, -1, -2) + pred.t[..., None, :]
+    return np.sqrt(((a - b) ** 2).sum(axis=-1)).mean(axis=-1)
+
+
 class TestAddMetric:
+    def test_matches_its_old_formula_bit_for_bit(self, chain):
+        from posediff import JointConfig, Pose
+
+        rng = np.random.default_rng(12)
+        n = 40
+        gt = Pose.stack([random_pose(rng) for _ in range(n)])
+        pred = Pose.stack([random_pose(rng) for _ in range(n)])
+        angles = rng.uniform(-np.pi, np.pi, (n, chain.n_joints))
+        per_row = forward_kinematics(chain, JointConfig(angles))
+        shared = per_row[0].copy()
+        # NaN, +-inf and -0.0 rows: in a translation, a rotation and the keypoints.
+        for k, value in enumerate((np.nan, np.inf, -np.inf, -0.0)):
+            gt.t[k, k % 3] = value
+            pred.R[4 + k, (k + 1) % 3, k % 3] = value
+            per_row[8 + k, k % len(shared), :] = value
+        pred.t[12] = -0.0
+        gt.t[12] = -0.0
+        cases = [(gt[i], pred[i], shared) for i in range(n)]
+        cases += [(gt[i], pred[i], per_row[i]) for i in range(n)]
+        cases += [(gt, pred, shared), (gt, pred, per_row), (gt[3], pred[3], shared.ravel())]
+        with np.errstate(all="ignore"):  # inf - inf and 0 * inf give NaN
+            for a, b, keypoints in cases:
+                got, want = add_metric(a, b, keypoints), reference_add_metric(a, b, keypoints)
+                assert_same_bits(got, want)
+            special = reference_add_metric(gt, pred, per_row)
+        assert np.isnan(special).any() and np.isinf(special).any()
+
     def test_identical_poses(self, chain):
         from posediff import JointConfig
 
@@ -65,8 +105,11 @@ class TestAddMetric:
 
     def test_empty_keypoints_raise(self):
         pose = random_pose(np.random.default_rng(3))
-        with pytest.raises(EmptyPointSet):
-            add_metric(pose, pose, np.zeros((0, 3)))
+        for keypoints in (np.zeros((0, 3)), np.zeros(0), []):
+            with pytest.raises(EmptyPointSet):
+                add_metric(pose, pose, keypoints)
+            with pytest.raises(EmptyPointSet):
+                reference_add_metric(pose, pose, keypoints)
 
 
 class TestAuc:

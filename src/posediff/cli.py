@@ -50,7 +50,6 @@ from .metrics import (
     STREAM_DIFFUSE,
     STREAM_ESTIMATE,
     STREAM_TRAINSIM,
-    add_metric,
     auc,
     generate_scenarios,
     make_observation,
@@ -171,9 +170,10 @@ class RunConfig:
     scenarios: int = _field(100, SCENE, "scenarios in the run", AT_LEAST_1)
     seed: int = _field(0, ALL, "run seed, recorded in every output", AT_LEAST_0)
     clamp: bool = _field(True, ("diffuse", "trainsim"), "clamp diffused poses into the frustum box")
-    timesteps: str = _field("1,25,50,75,100", ("diffuse",), 'comma list of timesteps, or "all"', (
-        lambda v, c: (ts := c.parse_timesteps()) != [] and all(1 <= t <= c.steps for t in ts),
-        "values must lie in [1, {steps}]"))
+    timesteps: str = _field("1,25,50,75,100", ("diffuse",), 'comma list of timesteps, or "all"',
+                            (lambda v, c: c.parse_timesteps() != [], "the list is empty"),
+                            (lambda v, c: all(1 <= t <= c.steps for t in c.parse_timesteps()),
+                             "values must lie in [1, {steps}]"))
     draws: int = _field(1, ("trainsim",), "draws per scenario", AT_LEAST_1)
     per_link: int = _field(9, ("trainsim",), "loss points sampled per link", AT_LEAST_1)
     chain: str | None = _field(None, SCENE, "ChainSpec JSON file; none is the default arm")
@@ -202,7 +202,7 @@ class RunConfig:
         return self
 
     def parse_timesteps(self) -> list[int]:
-        """The --timesteps list; its field's check gives the range."""
+        """The --timesteps list; its field's checks give emptiness and the range."""
         if self.timesteps.strip().lower() == "all":
             return list(range(1, self.steps + 1))
         try:
@@ -447,19 +447,18 @@ def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios
     rngs = [scenario_rng(cfg.seed, sc.index, STREAM_ESTIMATE) for sc in scenarios]
     keypoints = np.stack([forward_kinematics(chain, sc.joints) for sc in scenarios])
     if cfg.mode == "direct":
-        final, traj = run_direct_regression(
+        _, traj = run_direct_regression(
             batch, chain, sched, scales, norm, cfg.ddim_steps + cfg.refine_steps, oracle, rngs,
             rcfg=rcfg, keypoints=keypoints,
         )
     else:
-        final, traj = run_reverse(
+        _, traj = run_reverse(
             batch, chain, sched, scales, norm, rcfg, oracle, rngs,
             prev_pose=batch.gt_pose if cfg.mode == "tracking" else None,
             keypoints=keypoints,
         )
     done = traj.reasons == ""
-    adds = np.full(len(scenarios), np.inf)
-    adds[done] = add_metric(batch.gt_pose[done], final[done], keypoints[done])
+    adds = np.where(done, traj.steps[-1].add, np.inf)
     index = batch.index.tolist()
     rows = [
         (i, add, len(traj) if ok else 0, cfg.mode, int(not ok), reason)

@@ -90,10 +90,10 @@ class NoiseScales:
     scale so the 6D representation covers orientation space.
     """
 
-    s_rot: float = 1.0
-    s_xy: float = 0.5 / 3.0
-    s_z: float = 0.45
-    gamma: float = 3.0
+    s_rot: float
+    s_xy: float
+    s_z: float
+    gamma: float
 
     def __post_init__(self):
         if not all(0 < s < np.inf for s in (self.s_rot, self.s_xy, self.s_z, self.gamma)):
@@ -116,8 +116,8 @@ class NoiseScales:
 class FrustumBox:
     """A run's in-view region: bounds on the translation components of a normalized pose."""
 
-    xy_bound: float = 0.45
-    z_bound: tuple[float, float] = (-1.2, 1.5)
+    xy_bound: float
+    z_bound: tuple[float, float]
 
     def __post_init__(self):
         if not (0 < self.xy_bound <= 0.5):

@@ -39,7 +39,7 @@ FOCAL_RANGE = (400.0, 900.0)
 IMAGE_SIZES = ((640, 480), (1280, 720))
 JOINT_LIMIT = np.pi
 
-# The threshold grid of `auc`'s defaults, which every estimate JSON reports as `auc_grid`.
+# The threshold grid `auc` integrates over, which every estimate JSON reports as `auc_grid`.
 AUC_GRID = {"t_min": 1e-5, "t_max": 0.1, "n_thresholds": 2000}
 
 
@@ -60,30 +60,20 @@ def add_metric(gt: Pose, pred: Pose, keypoints: np.ndarray) -> np.ndarray:
     return point_distance(gt, pred, keypoints)
 
 
-def auc(
-    adds,
-    t_min: float = AUC_GRID["t_min"],
-    t_max: float = AUC_GRID["t_max"],
-    n_thresholds: int = AUC_GRID["n_thresholds"],
-) -> float:
-    """Area under the ADD success curve on a linear threshold grid, 0-100.
+def auc(adds) -> float:
+    """Area under the ADD success curve on the `AUC_GRID` thresholds, 0-100.
 
     Success at threshold tau means add < tau (strict). Non-finite ADD values
     (aborted scenarios) never succeed.
 
     Raises:
         EmptyPointSet: on an empty ADD list.
-        InvalidRange: on a bad grid specification.
     """
     values = np.asarray(list(adds), dtype=float)
     if values.size == 0:
         raise EmptyPointSet("ADD list is empty")
-    if n_thresholds < 2:
-        raise InvalidRange(f"n_thresholds must be >= 2, got {n_thresholds}")
-    if not (0 <= t_min < t_max):
-        raise InvalidRange(f"need 0 <= t_min < t_max, got ({t_min}, {t_max})")
     finite = np.sort(values[np.isfinite(values)])
-    thresholds = np.linspace(t_min, t_max, n_thresholds)
+    thresholds = np.linspace(AUC_GRID["t_min"], AUC_GRID["t_max"], AUC_GRID["n_thresholds"])
     below = np.searchsorted(finite, thresholds, side="left")
     return float(100.0 * below.mean() / values.size)
 

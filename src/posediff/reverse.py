@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoising import Observation, denoise, point_distance
+from .denoising import Observation, denoise
 from .errors import (
     InvalidConfig,
     InvalidIterationCount,
@@ -46,6 +46,7 @@ from .forward_diffusion import (
     noise_blocks,
     standard_normal,
 )
+from .metrics import add_metric
 from .mononorm import NormConfig, NormalizedPose, denormalize, normalize
 from .robot_chain import ChainSpec, forward_kinematics
 from .se3_camera import Pose
@@ -96,7 +97,7 @@ class TrajectoryStep:
     timestep: int
     cond_t: int
     pose: Pose
-    add: float | np.ndarray | None = None
+    add: float | np.ndarray
 
 
 @dataclass
@@ -204,6 +205,7 @@ def _initial_pose(
 def _lockstep(
     plan: list[tuple[int, int, int | None]],
     obs: Observation,
+    chain: ChainSpec,
     sched: Schedule,
     scales: NoiseScales,
     cfg: NormConfig,
@@ -211,16 +213,17 @@ def _lockstep(
     oracle,
     rng,
     prev_pose: Pose | None,
-    keypoints: np.ndarray,
+    keypoints: np.ndarray | None,
 ) -> tuple[Pose, Trajectory]:
     """Run every row of `obs` through every step of `plan`.
 
-    Each plan entry is (timestep label, conditioning timestep, DDIM target);
-    a target of None is a direct jump to the denoiser's prediction. A single
-    observation raises at the first failing check. A batch records each row's
-    first failing check in `Trajectory.reasons` and runs the row on; every
-    step works row by row, so the other rows are unaffected, and nothing
-    computed for an aborted row after its abort is reported.
+    Each plan entry is (timestep label, conditioning timestep, DDIM target); a
+    target of None is a direct jump to the denoiser's prediction. Each step's ADD
+    is `add_metric` on `keypoints`, by default the forward kinematics of `chain`
+    at `obs.joints`. A single observation raises at the first failing check. A
+    batch records each row's first failing check in `Trajectory.reasons` and runs
+    the row on; every step works row by row, so the other rows are unaffected,
+    and nothing computed for an aborted row after its abort is reported.
 
     After the initial pose, a batch's oracle noise comes from `noise_blocks`:
     each row's generator draws its whole loop's noise in one call, at the
@@ -229,6 +232,8 @@ def _lockstep(
     batched = obs.gt_pose.t.ndim == 2
     reasons = np.full(obs.gt_pose.t.shape[0], "", dtype=object) if batched else None
     traj = Trajectory(reasons=reasons)
+    if keypoints is None:
+        keypoints = forward_kinematics(chain, obs.joints)
     with np.errstate(all="ignore"):
         pose = _initial_pose(rcfg, scales, cfg, obs, rng, prev_pose, reasons)
         if batched:
@@ -244,7 +249,7 @@ def _lockstep(
                 pose = denormalize(n_prev, obs.intrinsics, cfg, reasons)
             # A pose with a NaN or an infinity, or one so far out that its ADD
             # overflows, has a non-finite ADD.
-            add = point_distance(obs.gt_pose, pose, keypoints)
+            add = add_metric(obs.gt_pose, pose, keypoints)
             fail_where(
                 ~np.isfinite(add), NonFiniteState, reasons, "pose not finite after step {}", index
             )
@@ -268,23 +273,21 @@ def run_reverse(
 ) -> tuple[Pose, Trajectory]:
     """Full scheduled estimation: DDIM sweep plus direct refinement tail.
 
-    Per-step ADD against the observation's ground truth is recorded in the
-    trajectory; pass precomputed `keypoints` to skip the forward-kinematics
-    call. For a single observation, degenerate rotations, non-positive
-    depths or a non-finite pose inside the loop propagate to the caller,
-    which is expected to record the aborted scenario rather than hide it.
+    Each step's ADD, `add_metric` on `keypoints` (by default the forward
+    kinematics of `chain` at `obs.joints`), is recorded in the trajectory.
+    For a single observation, degenerate rotations, non-positive depths or
+    a non-finite pose inside the loop propagate to the caller, which is
+    expected to record the aborted scenario rather than hide it.
 
     For a batch observation (`Observation.stack`), `rng` holds one
     generator per row, `prev_pose` and `keypoints` are batched, and all rows
     advance in lockstep; `Trajectory.reasons` names the rows that aborted.
     Each step's `pose` is the whole batch, aborted rows included.
     """
-    if keypoints is None:
-        keypoints = forward_kinematics(chain, obs.joints)
     ts = ddim_timesteps(sched.T, rcfg.ddim_steps)
     plan = [(t_prev, t, t_prev) for t, t_prev in zip(ts, ts[1:] + [0])]
     plan += [(-k, 1, None) for k in range(1, rcfg.refine_steps + 1)]
-    return _lockstep(plan, obs, sched, scales, cfg, rcfg, oracle, rng, prev_pose, keypoints)
+    return _lockstep(plan, obs, chain, sched, scales, cfg, rcfg, oracle, rng, prev_pose, keypoints)
 
 
 def run_direct_regression(
@@ -312,7 +315,5 @@ def run_direct_regression(
     if iterations < 1:
         raise InvalidIterationCount(f"iterations must be >= 1, got {iterations}")
     rcfg = rcfg or ReverseConfig()
-    if keypoints is None:
-        keypoints = forward_kinematics(chain, obs.joints)
     plan = [(iterations - 1 - k, 1, None) for k in range(iterations)]
-    return _lockstep(plan, obs, sched, scales, cfg, rcfg, oracle, rng, None, keypoints)
+    return _lockstep(plan, obs, chain, sched, scales, cfg, rcfg, oracle, rng, None, keypoints)

@@ -3,7 +3,6 @@
 import argparse
 import csv
 import dataclasses
-import inspect
 import json
 import os
 from pathlib import Path
@@ -15,6 +14,7 @@ from posediff import ChainSpec, FrustumBox, NormConfig, Pose, auc, generate_scen
 from posediff import cli
 from posediff.cli import RunConfig, main
 from posediff.errors import ABORTS, InvalidConfig, NonFiniteState
+from posediff.metrics import AUC_GRID
 from posediff.reverse import MODES
 
 
@@ -160,12 +160,14 @@ class TestEstimateCommand:
         assert summary["mean_add"] < 1e-6
         assert summary["aborted"] == 0
 
-    def test_auc_grid_is_the_grid_of_auc_defaults(self, tmp_path):
+    def test_auc_grid_is_the_grid_auc_integrates_over(self, tmp_path):
         out = str(tmp_path / "est")
         assert main(["estimate", "--scenarios", "8", "--seed", "2", "--out", out]) == 0
-        params = inspect.signature(auc).parameters
-        defaults = {name: p.default for name, p in params.items() if name != "adds"}
-        assert json.loads(read(out + ".json"))["auc_grid"] == defaults
+        assert json.loads(read(out + ".json"))["auc_grid"] == AUC_GRID
+        grid = np.linspace(AUC_GRID["t_min"], AUC_GRID["t_max"], AUC_GRID["n_thresholds"])
+        # A single ADD succeeds at exactly the thresholds above it; grid[1000] is on the grid.
+        for x in (0.0, 1e-5, 0.0123, grid[1000], 0.1, 0.2):
+            assert auc([x]) == 100 * np.mean(grid > x)
 
     def test_modes_produce_ablation_pair(self, tmp_path):
         oa, ob = str(tmp_path / "ddim"), str(tmp_path / "direct")
@@ -460,11 +462,28 @@ BAD_INVOCATIONS = {
     "trajectories-is-a-directory": ["estimate", "--trajectories", "d.csv", "--out", "o"],
     "trajectories-is-out-csv": ["estimate", "--trajectories", "same.csv", "--out", "same"],
     "trajectories-is-out-json": ["estimate", "--trajectories", "./same.json", "--out", "same"],
+    # Empty --timesteps lists, which hold no value out of range.
+    "diffuse-empty-timesteps": ["diffuse", "--timesteps", ""],
+    "diffuse-commas-timesteps": ["diffuse", "--timesteps", ",,"],
+    "diffuse-blank-timesteps": ["diffuse", "--timesteps", " "],
+    # Values that fail a check outside RunConfig.
+    "estimate-cz-past-z-max": ["estimate", "--cz", "5"],
+    "estimate-perfect-with-parameter": ["estimate", "--denoiser", "perfect:3"],
+}
+# The exact error line of some of them.
+BAD_INVOCATION_ERRORS = {
+    "diffuse-empty-timesteps": "error: timesteps: the list is empty",
+    "diffuse-commas-timesteps": "error: timesteps: the list is empty",
+    "diffuse-blank-timesteps": "error: timesteps: the list is empty",
+    "estimate-cz-past-z-max": "error: cz: need 0 < z_min < c_z < z_max, got (0.3, 5.0, 3.0)",
+    "estimate-perfect-with-parameter":
+        "error: denoiser: perfect takes no parameter, got 'perfect:3'",
 }
 
 
-@pytest.mark.parametrize("argv", BAD_INVOCATIONS.values(), ids=BAD_INVOCATIONS.keys())
-def test_bad_invocation_exits_2_with_one_line_and_no_file(argv, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("name", BAD_INVOCATIONS)
+def test_bad_invocation_exits_2_with_one_line_and_no_file(name, tmp_path, monkeypatch, capsys):
+    argv = BAD_INVOCATIONS[name]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a_file").write_text("")
     (tmp_path / "d.csv").mkdir()
@@ -476,6 +495,8 @@ def test_bad_invocation_exits_2_with_one_line_and_no_file(argv, tmp_path, monkey
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if name in BAD_INVOCATION_ERRORS:
+        assert err == BAD_INVOCATION_ERRORS[name] + "\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "d.csv", "e.json"]
     assert not any((tmp_path / "d.csv").iterdir()) and not any((tmp_path / "e.json").iterdir())
 

@@ -352,7 +352,7 @@ class TestFrustumBox:
 
     @pytest.mark.parametrize("make", [
         lambda cfg: FrustumBox.for_config(cfg, -0.1),
-        lambda cfg: FrustumBox(xy_bound=0.6),
+        lambda cfg: FrustumBox(xy_bound=0.6, z_bound=(-1.2, 1.5)),
     ], ids=["negative-margin", "past-the-image-edge"])
     def test_xy_bound_outside_zero_to_half_raises(self, norm_cfg, make):
         with pytest.raises(ValueError, match="xy_bound"):

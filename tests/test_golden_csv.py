@@ -4,9 +4,11 @@ The digests cover every line that does not start with `#` (the header and
 the data rows, with their `\\r\\n` endings), so they pin the exact text of each
 value across changes to the engine or the writer, not only across reruns of
 one tree. The `#` metadata lines carry the package version and are left out.
+A JSON summary's digest covers every key but `metadata`, for the same reason.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -30,7 +32,8 @@ GOLDEN = {
         ["estimate", "--scenarios", "60", "--seed", "2", "--denoiser", "biased:3e156",
          "--trajectories", "{tmp}/traj.csv"], 1,
         {"run.csv": "4e238037630680d1a93228f480f3b7ad62d3c20baaa730ef858ff8175c6f6592",
-         "traj.csv": "67d8db7ea07cbceb34238436004d2cf0b8597f9e036c8fd791af04216d85e755"},
+         "traj.csv": "67d8db7ea07cbceb34238436004d2cf0b8597f9e036c8fd791af04216d85e755",
+         "run.json": "0f3718f01e9589374cbd141a1409eb2f9fe5106f70b71324a11dd89b47c3da07"},
     ),
     # Oracle noise from every row's generator, after a prior-sample init.
     "estimate-noisy-prior-sample": (
@@ -43,7 +46,16 @@ GOLDEN = {
     "estimate-noisy-direct-workers": (
         ["estimate", "--scenarios", "40", "--seed", "6", "--mode", "direct", "--denoiser",
          "noisy:0.5", "--workers", "2"], 0,
-        {"run.csv": "5093df432eec165903ddef37a77131ad11cfa24e1d86a2df60196c27fec98ab1"},
+        {"run.csv": "5093df432eec165903ddef37a77131ad11cfa24e1d86a2df60196c27fec98ab1",
+         "run.json": "706fee4c6868644386bd2cc34c73e12666661222b6a35f0fbe57ad06a59576bd"},
+    ),
+    # One scheduled step from the ground truth: each row's ADD is a one-step trajectory's.
+    "estimate-tracking": (
+        ["estimate", "--scenarios", "40", "--seed", "8", "--mode", "tracking", "--denoiser",
+         "noisy:0.3", "--trajectories", "{tmp}/traj.csv"], 0,
+        {"run.csv": "754692c265aa5c01a0ae29272d262d51200c521d1904064262f9260dd089d6fb",
+         "traj.csv": "dc43c81c5a121ad9b177b7d1ecb43af287bd5f5ebfb5acafe55e2b2adc3ad34a",
+         "run.json": "95e1ba7549119128a4adc5002abe12b3801d352dabd0b66af24c4b01d41c0e33"},
     ),
     "schedule-standard": (
         ["schedule", "--sigma-form", "standard", "--eta", "0.5"], 0,
@@ -53,6 +65,10 @@ GOLDEN = {
 
 
 def data_digest(path) -> str:
+    if path.suffix == ".json":
+        summary = json.loads(path.read_text())
+        del summary["metadata"]
+        return hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
     lines = path.read_bytes().splitlines(keepends=True)
     return hashlib.sha256(b"".join(l for l in lines if not l.startswith(b"#"))).hexdigest()
 

@@ -7,15 +7,24 @@ import pytest
 
 from posediff import (
     BiasedOracle,
+    ChainSpec,
+    FrustumBox,
+    JointConfig,
     NoiseScales,
+    NormConfig,
+    Pose,
     ReverseConfig,
     generate_scenarios,
+    gram_schmidt_6d,
+    make_linear_schedule,
     make_observation,
     run_reverse,
+    sample_points,
     scenario_rng,
 )
 from posediff.cli import main
-from posediff.errors import NonFiniteState
+from posediff.errors import InvalidConfig, NonFiniteState
+from posediff.reverse import sigma_squared
 
 
 @pytest.mark.parametrize("spec", ["bogus", "noisy:abc", "noisy:-0.1", "noisy:nan", "biased:inf"])
@@ -153,3 +162,41 @@ def test_trainsim_abort_exits_1_with_one_line(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: recovered depth ") and err.count("\n") == 1
     assert not (tmp_path / "ts.json").exists()
+
+
+# Constructor and kernel arguments that fail a check, with its error type and exact message.
+BAD_ARGUMENTS = {
+    "ddim-steps-0": (lambda: ReverseConfig(ddim_steps=0), InvalidConfig,
+                     "ddim_steps must be >= 1"),
+    "refine-steps-negative": (lambda: ReverseConfig(refine_steps=-1), InvalidConfig,
+                              "refine_steps must be >= 0"),
+    "eta-negative": (lambda: ReverseConfig(eta=-0.1), InvalidConfig, "eta must be >= 0"),
+    "init-mode-unknown": (lambda: ReverseConfig(init_mode="x"), InvalidConfig,
+                          "init_mode must be one of ('canonical', 'prior-sample', "
+                          "'previous-estimate')"),
+    "sigma-form-unknown": (lambda: ReverseConfig(sigma_form="x"), InvalidConfig,
+                           "sigma_form must be one of ('paper', 'standard')"),
+    "sigma-squared-form-unknown": (
+        lambda: sigma_squared(make_linear_schedule(), 50, 25, 1.0, "x"), InvalidConfig,
+        "sigma_form must be one of ('paper', 'standard')"),
+    "cz-past-z-max": (lambda: NormConfig(c_z=5.0), ValueError,
+                      "need 0 < z_min < c_z < z_max, got (0.3, 5.0, 3.0)"),
+    "z-bound-empty": (lambda: FrustumBox(xy_bound=0.45, z_bound=(1.0, 1.0)), ValueError,
+                      "z interval is empty"),
+    "link-lengths-short": (lambda: ChainSpec(n_joints=3, link_lengths=(0.1, 0.1)), ValueError,
+                           "expected 3 link lengths, got 2"),
+    "per-link-0": (lambda: sample_points(ChainSpec(), JointConfig(np.zeros(7)), per_link=0),
+                   ValueError, "per_link must be >= 1"),
+    "rot6-short": (lambda: gram_schmidt_6d(np.zeros(5)), ValueError,
+                   "expected trailing dimension 6, got (5,)"),
+    "rotation-4x4": (lambda: Pose(np.eye(4), np.zeros(3)), ValueError,
+                     "R must be 3x3 or a batch of 3x3, got (4, 4)"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARGUMENTS)
+def test_bad_argument_raises_its_check(name):
+    make, error, message = BAD_ARGUMENTS[name]
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message

@@ -95,11 +95,11 @@ FILE_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
               type(None): (str, type(None))}
 
 
-def _field(default, commands: tuple, help: str, *checks: tuple, choices=None, unread=None):
+def _field(default, commands: tuple, help: str, *checks: tuple, choices=None, unread=()):
     """A RunConfig field, declared once for its flag, config-file type and checks.
 
     Only `commands` register its flag, typed as `default` (str for None), and read it, unless
-    its `unread` `(predicate(cfg, command), message)` holds. For a run that reads it,
+    one of its `unread` `(predicate(cfg, command), message)` pairs holds. For a run that reads it,
     `validate` checks a float is finite, then `choices`, then each
     `(predicate(value, cfg), message)`, which follows the fields it reads. Messages take the
     config's fields."""
@@ -120,8 +120,9 @@ def _unread(cfg: "RunConfig", f: dataclasses.Field, command: str) -> str | None:
     """Why `command`, run with `cfg`, does not read field `f`, or None if it does."""
     if command not in f.metadata["commands"]:
         return f"not read by {command}"
-    if f.metadata["unread"] and f.metadata["unread"][0](cfg, command):
-        return f.metadata["unread"][1].format_map(vars(cfg))
+    for holds, message in f.metadata["unread"]:
+        if holds(cfg, command):
+            return message.format_map(vars(cfg))
     return None
 
 
@@ -148,25 +149,27 @@ class RunConfig:
     gamma: float = _field(3.0, SCENE, "k-sigma containment multiplier", POSITIVE)
     margin: float = _field(0.05, SCENE, "frustum margin as an image fraction",
                            (lambda v, c: 0 <= v < 0.5, "must be in [0, 0.5)"))
-    eta: float = _field(1.0, REVERSE, "DDIM noise scale", AT_LEAST_0, unread=DDIM_ONLY)
+    # `sigma_squared` takes eta**2, which raises OverflowError past sqrt(max float).
+    eta: float = _field(1.0, REVERSE, "DDIM noise scale", AT_LEAST_0, (
+        lambda v, c: v <= math.sqrt(sys.float_info.max), "its square must be finite"),
+        unread=(DDIM_ONLY,))
     ddim_steps: int = _field(5, ("estimate",), "scheduled reverse steps", (
-        lambda v, c: 1 <= v <= c.steps, "need 1 <= ddim_steps <= steps"), unread=NOT_TRACKING)
+        lambda v, c: 1 <= v <= c.steps, "need 1 <= ddim_steps <= steps"), unread=(NOT_TRACKING,))
     refine_steps: int = _field(5, ("estimate",), "refinement steps, conditioned on t = 1",
-                               AT_LEAST_0, unread=NOT_TRACKING)
-    sigma_form: str = _field("paper", REVERSE, "DDIM sigma form", choices=SIGMA_FORMS,
-                             unread=DDIM_ONLY)
+                               AT_LEAST_0, unread=(NOT_TRACKING,))
+    # At eta = 0 both sigma forms give sigma = 0.
+    sigma_form: str = _field("paper", REVERSE, "DDIM sigma form", choices=SIGMA_FORMS, unread=(
+        DDIM_ONLY, (lambda c, cmd: c.eta == 0, "not read with --eta 0")))
     denoiser: str = _field("perfect", ("estimate", "trainsim"), "perfect | noisy:S0 | biased:PX")
+    # Only a noisy oracle with a noise level above 0 limits its corrections.
     competence: float = _field(
         3.0, ("estimate", "trainsim"), "noisy oracle's correction range, k-sigma units",
-        POSITIVE, unread=(lambda c, cmd: parse_denoiser_spec(c.denoiser)[0] != "noisy",
-                          "not read by --denoiser {denoiser}"))
+        POSITIVE, unread=((lambda c, cmd: parse_denoiser_spec(c.denoiser)[0] != "noisy"
+                           or parse_denoiser_spec(c.denoiser)[1] == 0,
+                           "not read by --denoiser {denoiser}"),))
     mode: str = _field("ddim", ("estimate",), "estimator", choices=MODES)
-    init: str = _field("canonical", ("estimate",), "start of the reverse loop", (
-        lambda v, c: v != "previous-estimate" or c.mode == "tracking",
-        "previous-estimate needs --mode tracking, which starts from the ground truth"),
-        choices=INIT_MODES,
-        unread=(lambda c, cmd: c.mode == "tracking" and c.init != "previous-estimate",
-                "not read by --mode tracking, which starts from the previous estimate"))
+    init: str = _field("canonical", ("estimate",), "start of the reverse loop", choices=INIT_MODES,
+                       unread=(NOT_TRACKING,))
     scenarios: int = _field(100, SCENE, "scenarios in the run", AT_LEAST_1)
     seed: int = _field(0, ALL, "run seed, recorded in every output", AT_LEAST_0)
     clamp: bool = _field(True, ("diffuse", "trainsim"), "clamp diffused poses into the frustum box")
@@ -408,16 +411,17 @@ def cmd_diffuse(cfg: RunConfig, world: tuple) -> int:
 
 
 def _estimate_reverse_config(cfg: RunConfig) -> ReverseConfig:
-    """The reverse loop of `cfg.mode`; tracking is a single scheduled step
-    from the previous estimate. Only ddim reads eta and sigma_form (see `DDIM_ONLY`), so
-    the other modes are given 0 and "paper", with which tracking's step is the same."""
+    """The reverse loop of `cfg.mode`. Tracking, one scheduled step from its start, the previous
+    estimate, reads no init and is given "canonical". A run that does not read eta or
+    sigma_form (see their `unread` pairs) is given 0 or "paper", with which its steps are the
+    same."""
     tracking, ddim = cfg.mode == "tracking", cfg.mode == "ddim"
     return ReverseConfig(
         ddim_steps=1 if tracking else cfg.ddim_steps,
         refine_steps=0 if tracking else cfg.refine_steps,
         eta=cfg.eta if ddim else 0.0,
-        init_mode="previous-estimate" if tracking else cfg.init,
-        sigma_form=cfg.sigma_form if ddim else "paper",
+        init_mode="canonical" if tracking else cfg.init,
+        sigma_form=cfg.sigma_form if ddim and cfg.eta != 0 else "paper",
         margin=cfg.margin,
     )
 

@@ -47,9 +47,7 @@ from .errors import EmptyPointSet, InvalidConfig, NonPositiveDepth, fail_where
 from .forward_diffusion import NoiseScales, Schedule, standard_normal
 from .mononorm import NormConfig, normalize
 from .robot_chain import JointConfig
-from .se3_camera import CameraIntrinsics, Pose, gram_schmidt_6d
-
-_IDENTITY_ROT6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+from .se3_camera import IDENTITY_ROT6, CameraIntrinsics, Pose, gram_schmidt_6d
 
 
 @dataclass
@@ -258,7 +256,7 @@ class NoisyOracle:
             c = window / deviation
             rows = limited[..., None]
             v_xy = np.where(rows, c[..., None] * v_xy, v_xy)
-            dr6 = np.where(rows, _IDENTITY_ROT6 + c[..., None] * (dr6 - _IDENTITY_ROT6), dr6)
+            dr6 = np.where(rows, IDENTITY_ROT6 + c[..., None] * (dr6 - IDENTITY_ROT6), dr6)
             v_z = np.where(limited, 1.0 + c * (v_z - 1.0), v_z)
 
         # Additive prediction noise, matched per component to the forward

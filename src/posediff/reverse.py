@@ -49,17 +49,18 @@ from .forward_diffusion import (
 from .metrics import add_metric
 from .mononorm import NormConfig, NormalizedPose, denormalize, normalize
 from .robot_chain import ChainSpec, forward_kinematics
-from .se3_camera import Pose
+from .se3_camera import IDENTITY_ROT6, Pose
 
 # The estimate modes, initializations and DDIM sigma forms, by name.
 MODES = ("ddim", "direct", "tracking")
-INIT_MODES = ("canonical", "prior-sample", "previous-estimate")
+INIT_MODES = ("canonical", "prior-sample")
 SIGMA_FORMS = ("paper", "standard")
 
 
 @dataclass
 class ReverseConfig:
-    """Knobs for the reverse loop; defaults give 5 DDIM + 5 refinement steps."""
+    """Knobs for the reverse loop; defaults give 5 DDIM + 5 refinement steps. A loop
+    given a previous pose starts there; `init_mode` names the start of any other loop."""
 
     ddim_steps: int = 5
     refine_steps: int = 5
@@ -187,19 +188,16 @@ def _initial_pose(
     prev_pose: Pose | None,
     reasons: np.ndarray | None,
 ) -> Pose:
-    if rcfg.init_mode == "previous-estimate":
-        if prev_pose is None:
-            raise InvalidConfig("previous-estimate init requires prev_pose")
+    """The start of the reverse loop: `prev_pose` if given, else the denormalized start vector
+    of `rcfg.init_mode`, the identity at zero normalized translation or a clamped prior draw."""
+    if prev_pose is not None:
         return prev_pose
     if rcfg.init_mode == "prior-sample":
         box = FrustumBox.for_config(cfg, rcfg.margin)
         n = box.clamp(standard_normal(rng) * scales.as_vector())
-        return denormalize(NormalizedPose.from_vector(n), obs.intrinsics, cfg, reasons)
-    t = np.array([0.0, 0.0, cfg.c_z])
-    batch = obs.gt_pose.t.shape[:-1]
-    return Pose(
-        np.broadcast_to(np.eye(3), batch + (3, 3)).copy(), np.broadcast_to(t, batch + (3,)).copy()
-    )
+    else:
+        n = np.broadcast_to(np.append(IDENTITY_ROT6, np.zeros(3)), obs.gt_pose.t.shape[:-1] + (9,))
+    return denormalize(NormalizedPose.from_vector(n), obs.intrinsics, cfg, reasons)
 
 
 def _lockstep(
@@ -273,11 +271,12 @@ def run_reverse(
 ) -> tuple[Pose, Trajectory]:
     """Full scheduled estimation: DDIM sweep plus direct refinement tail.
 
-    Each step's ADD, `add_metric` on `keypoints` (by default the forward
-    kinematics of `chain` at `obs.joints`), is recorded in the trajectory.
-    For a single observation, degenerate rotations, non-positive depths or
-    a non-finite pose inside the loop propagate to the caller, which is
-    expected to record the aborted scenario rather than hide it.
+    The loop starts at `prev_pose` if one is given, else at the start `rcfg.init_mode`
+    names. Each step's ADD, `add_metric` on `keypoints` (by default the forward kinematics
+    of `chain` at `obs.joints`), is recorded in the trajectory. For a single observation,
+    degenerate rotations, non-positive depths or a non-finite pose inside the loop
+    propagate to the caller, which is expected to record the aborted scenario rather
+    than hide it.
 
     For a batch observation (`Observation.stack`), `rng` holds one
     generator per row, `prev_pose` and `keypoints` are batched, and all rows

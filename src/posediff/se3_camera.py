@@ -28,6 +28,8 @@ from .errors import DegenerateRotation6D, fail_where
 # Norm below which a 6D rotation input is treated as degenerate.
 GS_EPS = 1e-8
 
+IDENTITY_ROT6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+
 # Slack (pixels / meters) for frustum boundary comparisons, so translations
 # clamped exactly onto the boundary still count as inside.
 FRUSTUM_TOL = 1e-6

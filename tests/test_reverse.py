@@ -8,6 +8,7 @@ from posediff import (
     NoisyOracle,
     NormalizedPose,
     PerfectOracle,
+    Pose,
     ReverseConfig,
     Schedule,
     add_metric,
@@ -23,7 +24,9 @@ from posediff import (
     scenario_rng,
     sigma_squared,
 )
-from posediff.errors import InvalidConfig, InvalidIterationCount, InvalidTimestepOrder
+from posediff.denoising import Observation
+from posediff.errors import InvalidIterationCount, InvalidTimestepOrder
+from posediff.reverse import INIT_MODES, _initial_pose
 
 from conftest import assert_same_bits
 
@@ -178,7 +181,7 @@ class TestRunReverse:
 
     def test_tracking_single_step_fixed_point(self, world, sched, norm_cfg, chain):
         scales, scen, observations = world
-        rcfg = ReverseConfig(ddim_steps=1, refine_steps=0, init_mode="previous-estimate")
+        rcfg = ReverseConfig(ddim_steps=1, refine_steps=0)
         sc, obs = scen.scenarios[3], observations[3]
         final, traj = run_reverse(
             obs, chain, sched, scales, norm_cfg, rcfg, PerfectOracle(),
@@ -188,14 +191,32 @@ class TestRunReverse:
         assert add_metric(sc.gt_pose, final, kp) < 1e-9
         assert len(traj) == 1
 
-    def test_previous_estimate_requires_prev_pose(self, world, sched, norm_cfg, chain):
+    @pytest.mark.parametrize("init", INIT_MODES)
+    def test_a_given_prev_pose_is_the_start(self, init, world, sched, norm_cfg, chain):
+        # Under either init, the start is the given pose itself, and prior-sample draws
+        # nothing for it: with the perfect oracle, the whole run leaves the generators as
+        # they were.
         scales, scen, observations = world
-        rcfg = ReverseConfig(init_mode="previous-estimate")
-        with pytest.raises(InvalidConfig, match="prev_pose"):
-            run_reverse(
-                observations[0], chain, sched, scales, norm_cfg, rcfg, PerfectOracle(),
-                scenario_rng(31, 0, 1),
-            )
+        rcfg = ReverseConfig(init_mode=init)
+        single = (observations[3], scen.scenarios[4].gt_pose, scenario_rng(31, 3, 1))
+        batch = (Observation.stack(observations[:3]), Observation.stack(observations[4:7]).gt_pose,
+                 [scenario_rng(31, i, 1) for i in range(3)])
+        for obs, prev, rng in (single, batch):
+            generators = rng if isinstance(rng, list) else [rng]
+            states = [g.bit_generator.state for g in generators]
+            assert _initial_pose(rcfg, scales, norm_cfg, obs, rng, prev, None) is prev
+            run_reverse(obs, chain, sched, scales, norm_cfg, rcfg, PerfectOracle(), rng,
+                        prev_pose=prev)
+            assert [g.bit_generator.state for g in generators] == states
+
+    def test_canonical_start_is_the_identity_at_depth_cz(self, world, norm_cfg):
+        scales, scen, observations = world
+        want = Pose(np.eye(3), [0, 0, norm_cfg.c_z])
+        for obs in (observations[0], Observation.stack(observations[:4])):
+            rows = obs.gt_pose.t.shape[:-1]
+            start = _initial_pose(ReverseConfig(), scales, norm_cfg, obs, None, None, None)
+            assert_same_bits(start.R, np.broadcast_to(want.R, rows + (3, 3)))
+            assert_same_bits(start.t, np.broadcast_to(want.t, rows + (3,)))
 
     def test_standard_sigma_form_converges_too(self, world, sched, norm_cfg, chain):
         scales, scen, observations = world

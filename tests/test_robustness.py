@@ -1,6 +1,8 @@
 """Bad configurations exit 2 with one line; aborts exit 1 and non-finite poses are named."""
 
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,14 +38,11 @@ def test_bad_denoiser_exits_2_with_one_line(spec, tmp_path, capsys):
     assert not (tmp_path / "run.csv").exists()
 
 
-def test_previous_estimate_init_needs_tracking_mode(tmp_path, capsys):
-    out = str(tmp_path / "pe")
-    assert main(["estimate", "--scenarios", "2", "--init", "previous-estimate", "--out", out]) == 2
-    assert capsys.readouterr().err == (
-        "error: init: previous-estimate needs --mode tracking, which starts from the ground truth\n"
-    )
-    assert main(["estimate", "--scenarios", "2", "--mode", "tracking", "--init",
-                 "previous-estimate", "--out", out]) == 0
+def test_eta_whose_square_is_finite_runs(tmp_path):
+    """The largest eta whose square is a float, sqrt(max float), still runs."""
+    out = str(tmp_path / "run")
+    assert main(["schedule", "--eta", "1e154", "--out", out]) == 0
+    assert main(["schedule", "--eta", repr(math.sqrt(sys.float_info.max)), "--out", out]) == 0
 
 
 def test_overflowing_denoiser_aborts_every_row_as_non_finite(tmp_path):
@@ -172,8 +171,7 @@ BAD_ARGUMENTS = {
                               "refine_steps must be >= 0"),
     "eta-negative": (lambda: ReverseConfig(eta=-0.1), InvalidConfig, "eta must be >= 0"),
     "init-mode-unknown": (lambda: ReverseConfig(init_mode="x"), InvalidConfig,
-                          "init_mode must be one of ('canonical', 'prior-sample', "
-                          "'previous-estimate')"),
+                          "init_mode must be one of ('canonical', 'prior-sample')"),
     "sigma-form-unknown": (lambda: ReverseConfig(sigma_form="x"), InvalidConfig,
                            "sigma_form must be one of ('paper', 'standard')"),
     "sigma-squared-form-unknown": (

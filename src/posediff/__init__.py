@@ -19,7 +19,6 @@ from .denoising import (
     apply_update,
     compute_gt_targets,
     decomposed_loss,
-    denoise,
     parse_denoiser,
     point_distance,
 )

@@ -107,7 +107,8 @@ def _field(default, commands: tuple, help: str, *checks: tuple, choices=None, un
     if choices:
         checks = ((lambda v, c: v in choices, f"must be one of {choices}"), *checks)
     if kind is float:
-        checks = ((lambda v, c: math.isfinite(v), "must be finite"), *checks)
+        # A config file's int may lie past float range, where math.isfinite raises.
+        checks = ((lambda v, c: abs(v) <= sys.float_info.max, "must be finite"), *checks)
     flag = {"default": None, "help": f"{help} (default: {default})"}
     flag.update({"action": argparse.BooleanOptionalAction} if kind is bool
                 else {"type": kind, "choices": choices})
@@ -439,7 +440,7 @@ def _trajectory_rows(traj, index: np.ndarray, done: np.ndarray) -> Iterator:
     return zip(np.repeat(index[done], len(steps)).tolist(), *cols, *pose_cols, add)
 
 
-def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios: list) -> tuple:
+def _estimate_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     """Run one chunk of scenarios as a single lockstep batch.
 
     Returns the estimate CSV row of each scenario, in order, and the chunk's trajectory
@@ -447,6 +448,7 @@ def _estimate_chunk(cfg: RunConfig, world: tuple, rcfg: ReverseConfig, scenarios
     of the batch, so an exception here is a fault of the run and propagates.
     """
     sched, norm, scales, _, chain, oracle = world
+    rcfg = _estimate_reverse_config(cfg)
     batch = Observation.stack([make_observation(sc, chain, cfg.seed) for sc in scenarios])
     rngs = [scenario_rng(cfg.seed, sc.index, STREAM_ESTIMATE) for sc in scenarios]
     keypoints = np.stack([forward_kinematics(chain, sc.joints) for sc in scenarios])
@@ -475,9 +477,8 @@ def cmd_estimate(cfg: RunConfig, world: tuple) -> int:
     """Run reverse estimation; CSV columns: scenario, add, steps, mode, aborted, reason."""
     import statistics  # only here, so that no other subcommand loads it
 
-    rcfg = _estimate_reverse_config(cfg)
     t0 = time.perf_counter()
-    chunks = _run_chunks(cfg, world, lambda c, w, chunk: _estimate_chunk(c, w, rcfg, chunk))
+    chunks = _run_chunks(cfg, world, _estimate_chunk)
     rows = []  # every scenario's estimate row, for the CSV and the summary
 
     def traj_rows():

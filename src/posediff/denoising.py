@@ -329,20 +329,3 @@ def parse_denoiser(
     if name == "noisy":
         return NoisyOracle(sigma0=value, sched=sched, scales=scales, cfg=cfg, competence=competence)
     return BiasedOracle(bias=value)
-
-
-def denoise(
-    pose_t: Pose,
-    t: int,
-    obs: Observation,
-    oracle,
-    rng,
-    reasons: np.ndarray | None = None,
-) -> Pose:
-    """One denoiser application: predict a triplet and apply it to pose_t.
-
-    `rng` is one generator, or one per row of a batch; `reasons` records
-    failing rows of a batch (see `errors.fail`).
-    """
-    out = oracle.predict(pose_t, t, obs, rng, reasons=reasons)
-    return apply_update(pose_t, out, obs.intrinsics, reasons)

@@ -70,14 +70,12 @@ def ddim_timesteps(T: int, n: int) -> list[int]:
     """Evenly spaced decreasing sub-sequence of n timesteps ending above 0.
 
     For T=100, n=5 this is [100, 80, 60, 40, 20]; the sampler appends the
-    terminal step to 0 itself.
+    terminal step to 0 itself. With n <= T the points are at least 1 apart,
+    so the rounded ones are distinct and the last is at least 1.
     """
     if not (1 <= n <= T):
         raise InvalidScheduleParams(f"need 1 <= ddim steps <= T, got n={n}, T={T}")
-    ts = [int(round(T * k / n)) for k in range(n, 0, -1)]
-    if len(set(ts)) != len(ts) or min(ts) < 1:
-        raise InvalidScheduleParams(f"sub-sequence for n={n}, T={T} is not strictly decreasing")
-    return ts
+    return [int(round(T * k / n)) for k in range(n, 0, -1)]
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 One reverse iteration (the scheduled mode) runs:
 
-    normalize -> denoise -> normalize prediction -> ddim_step -> denormalize
+    normalize -> predict -> apply_update -> normalize prediction -> ddim_step -> denormalize
 
 over a decreasing timestep sub-sequence, then finishes with a tail of
 direct denoiser applications conditioned at t=1 (the "almost converged"
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoising import Observation, denoise
+from .denoising import Observation, apply_update
 from .errors import (
     InvalidConfig,
     InvalidIterationCount,
@@ -237,12 +237,14 @@ def _lockstep(
         if batched:
             rng = noise_blocks(rng, len(plan))
         for index, (label, t, t_prev) in enumerate(plan):
-            if t_prev is None:
-                pose = denoise(pose, t, obs, oracle, rng, reasons)
-            else:
+            # A DDIM step normalizes the pose before the oracle call, so a row failing both
+            # records the normalization's check, and then steps toward the prediction.
+            if t_prev is not None:
                 n_t = normalize(pose, obs.intrinsics, cfg, reasons)
-                prediction = denoise(pose, t, obs, oracle, rng, reasons)
-                n0_hat = normalize(prediction, obs.intrinsics, cfg, reasons)
+            out = oracle.predict(pose, t, obs, rng, reasons)
+            pose = apply_update(pose, out, obs.intrinsics, reasons)
+            if t_prev is not None:
+                n0_hat = normalize(pose, obs.intrinsics, cfg, reasons)
                 n_prev = ddim_step(n_t, n0_hat, t, t_prev, sched, rcfg.eta, rcfg.sigma_form)
                 pose = denormalize(n_prev, obs.intrinsics, cfg, reasons)
             # A pose with a NaN or an infinity, or one so far out that its ADD

@@ -11,6 +11,7 @@ agree exactly and floats to 1e-12 relative.
 
 import itertools
 import math
+import sys
 import threading
 import time
 
@@ -35,6 +36,7 @@ from posediff import cli
 from posediff.denoising import Observation
 from posediff.errors import DegenerateRotation6D, NonPositiveDepth
 from posediff.metrics import STREAM_DIFFUSE, STREAM_TRAINSIM
+from posediff.se3_camera import IDENTITY_ROT6
 
 
 def scenarios(cfg, world):
@@ -51,10 +53,12 @@ def reference_diffuse_rows(cfg, world, sc):
     rows, vecs = [], []
     for j, t in enumerate(ts):
         n = diffuse_normalized(n0, t, sched, scales, eps[j], box if cfg.clamp else None)
+        # in_frustum reads only the translation, so a degenerate rotation does not
+        # matter: the identity stands in for it.
         try:
-            inside = in_frustum(denormalize(NormalizedPose.from_vector(n), K, norm), K,
+            inside = in_frustum(denormalize(NormalizedPose(IDENTITY_ROT6, *n[6:]), K, norm), K,
                                 cfg.margin, (norm.z_min, norm.z_max))
-        except (NonPositiveDepth, DegenerateRotation6D):
+        except NonPositiveDepth:
             inside = False
         behind = n[8] + norm.c_z <= 0
         u = math.nan if behind else K.w * n[6] + K.cx
@@ -99,6 +103,20 @@ def assert_rows_match(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
+def assert_diffuse_chunk_matches_reference(cfg, world):
+    """Compare the chunk of every scenario with the reference; the chunk's rows and flags."""
+    scen = scenarios(cfg, world)
+    got_rows, got_inside, got_n = cli._diffuse_chunk(cfg, world, scen)
+    got_rows = list(got_rows)
+    want = [reference_diffuse_rows(cfg, world, sc) for sc in scen]
+    want_rows = [row for rows, _ in want for row in rows]
+    assert [r[:3] for r in got_rows] == [r[:3] for r in want_rows]
+    assert_rows_match([r[3:] for r in got_rows], [r[3:] for r in want_rows])
+    np.testing.assert_array_equal(got_inside.ravel(), [r[2] == 1 for r in want_rows])
+    np.testing.assert_allclose(got_n, [vecs for _, vecs in want], rtol=1e-12, atol=1e-15)
+    return got_rows, got_inside
+
+
 DENOISERS = ("perfect", "noisy:0.2", "biased:4")
 DIFFUSE_CASES = list(itertools.product((True, False), ("all", "50,50,10", "1,100,37")))
 
@@ -109,19 +127,51 @@ def test_diffuse_chunk_matches_per_scenario_reference(case):
     cfg = cli.RunConfig(clamp=clamp, timesteps=timesteps, seed=100 + case,
                         scenarios=60).validate()
     world = cli._build_world(cfg)
-    scen = scenarios(cfg, world)
-    got_rows, got_inside, got_n = cli._diffuse_chunk(cfg, world, scen)
-    got_rows = list(got_rows)
-
-    want = [reference_diffuse_rows(cfg, world, sc) for sc in scen]
-    want_rows = [row for rows, _ in want for row in rows]
-    assert [r[:3] for r in got_rows] == [r[:3] for r in want_rows]
-    assert_rows_match([r[3:] for r in got_rows], [r[3:] for r in want_rows])
-    np.testing.assert_array_equal(got_inside.ravel(), [r[2] == 1 for r in want_rows])
-    np.testing.assert_allclose(got_n, [vecs for _, vecs in want], rtol=1e-12, atol=1e-15)
+    got_rows, got_inside = assert_diffuse_chunk_matches_reference(cfg, world)
     if not clamp and timesteps == "all":
         # The unclamped process leaves the frustum and goes behind the camera.
         assert not got_inside.all() and any(math.isnan(r[6]) for r in got_rows)
+
+
+class CancellingRotation:
+    """A generator whose (T, 9) noise blocks carry `rot_eps` as every row's rotation noise."""
+
+    def __init__(self, rng, rot_eps):
+        self.rng, self.rot_eps = rng, rot_eps
+
+    def standard_normal(self, shape):
+        eps = self.rng.standard_normal(shape)
+        eps[:, :6] = self.rot_eps
+        return eps
+
+
+def test_degenerate_noised_rotation_is_judged_by_its_translation(monkeypatch):
+    """A row whose rotation noise cancels its ground-truth rot6 is degenerate after
+    diffusion, and still in the frustum: in_frustum reads only the translation."""
+    t = 50
+    cfg = cli.RunConfig(timesteps=str(t), seed=3, scenarios=8).validate()
+    world = cli._build_world(cfg)
+    sched, norm = world[:2]
+    sc = scenarios(cfg, world)[2]
+    a = sched.alpha_bar[t]
+    rot0 = normalize(sc.gt_pose, sc.intrinsics, norm).as_vector()[:6]
+    real_rng = scenario_rng
+
+    def cancelling_rng(seed, index, stream):
+        rng = real_rng(seed, index, stream)
+        if index != sc.index:
+            return rng
+        return CancellingRotation(rng, -np.sqrt(a / (1 - a)) * rot0)  # s_rot is 1
+
+    monkeypatch.setattr(cli, "scenario_rng", cancelling_rng)
+    monkeypatch.setattr(sys.modules[__name__], "scenario_rng", cancelling_rng)
+    got_rows, got_inside = assert_diffuse_chunk_matches_reference(cfg, world)
+    n = np.array(got_rows[sc.index][3:6])
+    assert got_inside[sc.index].tolist() == [True] and got_rows[sc.index][2] == 1
+    noised = cli._diffuse_chunk(cfg, world, [sc])[2][0, 0]
+    assert np.linalg.norm(noised[:6]) < 1e-12 and np.array_equal(noised[6:], n)
+    with pytest.raises(DegenerateRotation6D):
+        denormalize(NormalizedPose.from_vector(noised), sc.intrinsics, norm)
 
 
 TRAINSIM_CASES = list(itertools.product((True, False), DENOISERS))

@@ -241,10 +241,10 @@ class TestEstimateCommand:
         events = []
         estimate_chunk = cli._estimate_chunk
 
-        def wrapped(cfg, world, rcfg, scenarios):
+        def wrapped(cfg, world, scenarios):
             k = scenarios[0].index
             events.append(("compute", k))
-            rows, traj_rows = estimate_chunk(cfg, world, rcfg, scenarios)
+            rows, traj_rows = estimate_chunk(cfg, world, scenarios)
 
             def consumed():
                 events.append(("consume", k))
@@ -580,10 +580,13 @@ def test_modes_other_than_ddim_do_not_read_eta(tmp_path):
     (["schedule", "--eta", "0"], {"sigma_form": "bogus"}),
     (["estimate", "--denoiser", "noisy:0"], {"competence": -1.0}),
     (["trainsim", "--denoiser", "noisy:0"], {"competence": -1.0}),
-], ids=["ddim-eta-0", "schedule-eta-0", "estimate-noisy-0", "trainsim-noisy-0"])
+    (["estimate"], {"competence": 10**400}),
+], ids=["ddim-eta-0", "schedule-eta-0", "estimate-noisy-0", "trainsim-noisy-0",
+        "perfect-past-float-range"])
 def test_a_config_file_field_unread_at_eta_0_or_noisy_0_is_not_checked(argv, values, tmp_path):
-    """At eta = 0 no sigma form is read, and noisy:0 reads no competence, so a config file
-    may set either to a value that a run reading it rejects; the data stay the same."""
+    """At eta = 0 no sigma form is read, and noisy:0 (like perfect) reads no competence, so a
+    config file may set either to a value that a run reading it rejects, even an integer past
+    float range; the data stay the same."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(values))
     scenarios = [] if argv[0] == "schedule" else ["--scenarios", "4"]  # schedule draws none

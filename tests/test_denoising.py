@@ -14,7 +14,6 @@ from posediff import (
     apply_update,
     compute_gt_targets,
     decomposed_loss,
-    denoise,
     diffuse,
     forward_kinematics,
     generate_scenarios,
@@ -183,7 +182,7 @@ class TestOracles:
         rng = np.random.default_rng(0)
         for sc, ob in zip(scen, obs[:10]):
             pose_t = random_pose(rng)
-            rec = denoise(pose_t, 50, ob, oracle, rng)
+            rec = apply_update(pose_t, oracle.predict(pose_t, 50, ob, rng), ob.intrinsics)
             assert np.abs(rec.t - sc.gt_pose.t).max() < 1e-9
             assert np.abs(rec.R - sc.gt_pose.R).max() < 1e-9
 
@@ -227,7 +226,7 @@ class TestOracles:
             pose_t = diffuse(
                 batch.gt_pose, t, sched, scales, box, batch.intrinsics, norm_cfg, rngs
             )
-            pred = denoise(pose_t, t, batch, oracle, rngs)
+            pred = apply_update(pose_t, oracle.predict(pose_t, t, batch, rngs), batch.intrinsics)
             errs = point_distance(batch.gt_pose, pred, keypoints)
             levels.append(np.sqrt(1 - sched.alpha_bar[t]))
             means.append(errs.mean())
@@ -246,7 +245,8 @@ class TestOracles:
         far_gap = point_distance(
             pose_t, ob.gt_pose, np.zeros((1, 3))
         )
-        rec = denoise(pose_t, 1, ob, oracle, np.random.default_rng(4))
+        out = oracle.predict(pose_t, 1, ob, np.random.default_rng(4))
+        rec = apply_update(pose_t, out, ob.intrinsics)
         remaining = point_distance(rec, ob.gt_pose, np.zeros((1, 3)))
         assert remaining > 0.5 * far_gap
 

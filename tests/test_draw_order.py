@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from posediff import metrics
 from posediff import (
     CameraIntrinsics,
     ChainSpec,
@@ -135,6 +136,60 @@ def test_merged_scenario_draws_match_one_call_per_draw(seed):
         assert_same_bits(a.joints.angles, b.joints.angles)
         assert_same_bits(a.gt_pose.R, b.gt_pose.R)
         assert_same_bits(a.gt_pose.t, b.gt_pose.t)
+
+
+class DegenerateFirstRotation:
+    """A generator that logs each call by name and returns zeros, a degenerate 6D
+    rotation, for its first `standard_normal(6)`; every other call is delegated."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls.append(name)
+            if name == "standard_normal" and args == (6,) and self.calls.count(name) == 1:
+                return np.zeros(6)
+            return getattr(self.rng, name)(*args, **kwargs)
+        return call
+
+
+def test_degenerate_rotation_draw_is_redrawn(monkeypatch):
+    seed, count = 5, 4
+    cfg, chain = NormConfig(), ChainSpec()
+    box = FrustumBox.for_config(cfg)
+    want = generate_scenarios(seed, count, box, chain, cfg).scenarios
+    wrapped = {}
+
+    def patched_rng(seed, index, stream):
+        rng = scenario_rng(seed, index, stream)
+        if (index, stream) == (1, STREAM_SCENARIO):
+            rng = wrapped[index] = DegenerateFirstRotation(rng)
+        return rng
+
+    monkeypatch.setattr(metrics, "scenario_rng", patched_rng)
+    got = generate_scenarios(seed, count, box, chain, cfg).scenarios
+    for a, b in zip(got, want, strict=True):
+        if a.index != 1:
+            assert_same_bits(a.gt_pose.R, b.gt_pose.R)
+            assert_same_bits(a.gt_pose.t, b.gt_pose.t)
+    # Stream 0 in FORMATS.md's order: the focal length, the image-size index, the
+    # J + 3 joint and translation uniforms, then six normals per rotation draw.
+    assert wrapped[1].calls == ["uniform", "integers", "random",
+                                "standard_normal", "standard_normal"]
+    # The reference's one call per draw, then the six normals after the degenerate draw.
+    rng = scenario_rng(seed, 1, STREAM_SCENARIO)
+    f = float(rng.uniform(*FOCAL_RANGE))
+    w, h = IMAGE_SIZES[int(rng.integers(len(IMAGE_SIZES)))]
+    rng.uniform(-JOINT_LIMIT, JOINT_LIMIT, chain.n_joints)
+    tx_n = float(rng.uniform(-box.xy_bound, box.xy_bound))
+    ty_n = float(rng.uniform(-box.xy_bound, box.xy_bound))
+    tz_n = float(rng.uniform(*box.z_bound))
+    n = NormalizedPose(rng.standard_normal(6), tx_n, ty_n, tz_n)
+    gt = denormalize(n, CameraIntrinsics(f=f, w=w, h=h), cfg)
+    assert_same_bits(got[1].gt_pose.R, gt.R)
+    assert_same_bits(got[1].gt_pose.t, gt.t)
+    assert wrapped[1].rng.bit_generator.state == rng.bit_generator.state
 
 
 def reference_projection(cam_pts, K):

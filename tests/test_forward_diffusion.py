@@ -83,6 +83,15 @@ class TestDdimTimesteps:
     def test_single_step(self):
         assert ddim_timesteps(100, 1) == [100]
 
+    def test_every_count_in_range_is_strictly_decreasing_above_0(self):
+        # The range check is the only check: it alone keeps the rounded points
+        # distinct and the last at least 1.
+        for T in range(1, 201):
+            for n in range(1, T + 1):
+                ts = ddim_timesteps(T, n)
+                assert len(ts) == n and ts[0] == T and ts[-1] >= 1
+                assert all(a > b for a, b in zip(ts, ts[1:])), (T, n)
+
     def test_bad_count_raises(self):
         with pytest.raises(InvalidScheduleParams):
             ddim_timesteps(100, 0)

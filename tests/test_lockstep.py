@@ -21,9 +21,9 @@ from posediff import (
     NormalizedPose,
     Pose,
     add_metric,
+    apply_update,
     ddim_step,
     ddim_timesteps,
-    denoise,
     denormalize,
     forward_kinematics,
     generate_scenarios,
@@ -83,10 +83,11 @@ def reference_row(cfg, world, rcfg, oracle, sc):
             pose = Pose(np.eye(3), [0.0, 0.0, norm.c_z])
         for t, t_prev in plan:
             if t_prev is None:
-                pose = denoise(pose, t, obs, oracle, rng)
+                pose = apply_update(pose, oracle.predict(pose, t, obs, rng), obs.intrinsics)
             else:
                 n_t = normalize(pose, obs.intrinsics, norm)
-                n0_hat = normalize(denoise(pose, t, obs, oracle, rng), obs.intrinsics, norm)
+                pred = apply_update(pose, oracle.predict(pose, t, obs, rng), obs.intrinsics)
+                n0_hat = normalize(pred, obs.intrinsics, norm)
                 n_prev = ddim_step(n_t, n0_hat, t, t_prev, sched, rcfg.eta, rcfg.sigma_form)
                 pose = denormalize(n_prev, obs.intrinsics, norm)
             step_adds.append(point_distance(obs.gt_pose, pose, kp))
@@ -131,7 +132,7 @@ def test_lockstep_matches_per_scenario_reference(case):
     rcfg = cli._estimate_reverse_config(cfg)
     scen = generate_scenarios(cfg.seed, cfg.scenarios, world[3], world[4], world[1])
 
-    got, traj_rows = cli._estimate_chunk(cfg, world, rcfg, scen.scenarios)
+    got, traj_rows = cli._estimate_chunk(cfg, world, scen.scenarios)
     traj_rows = list(traj_rows)
     with np.errstate(all="ignore"):
         want = [reference_row(cfg, world, rcfg, oracle, sc) for sc in scen]
@@ -153,8 +154,7 @@ def test_forcing_oracle_covers_every_abort_kind():
         world = cli._build_world(cfg)
         world = (*world[:5], ForcingOracle(world[5], t_from=40))
         scen = generate_scenarios(cfg.seed, cfg.scenarios, cfg=world[1])
-        rows, _ = cli._estimate_chunk(cfg, world, cli._estimate_reverse_config(cfg),
-                                      scen.scenarios)
+        rows, _ = cli._estimate_chunk(cfg, world, scen.scenarios)
         reasons.update(row[5] for row in rows)
     assert reasons == {"", *(exc.__name__ for exc in ABORTS)}
 

@@ -76,7 +76,8 @@ def test_single_scenario_run_raises_non_finite_state(norm_cfg, sched, chain):
                                    {"link_lengths": [0.3], "joint_axes": [[np.nan, 0.0, 1.0]]},
                                    {"link_lengths": []},
                                    {"n_joints": 2, "link_lengths": [0.3, 0.2],
-                                    "joint_axes": [[0, 0, 1], [1, 0]]}])
+                                    "joint_axes": [[0, 0, 1], [1, 0]]},
+                                   {"link_lengths": [0.3, 0.2], "joint_axes": [[0, 0, 1]]}])
 def test_bad_chain_file_exits_2_with_one_line(chain, tmp_path, capsys):
     path = tmp_path / "chain.json"
     if chain is not None:
@@ -141,6 +142,20 @@ def test_non_finite_config_value_exits_2_with_one_line(flags, field, tmp_path, c
     assert main(["estimate", "--scenarios", "20", *flags, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run*"))
+
+
+# A config-file integer past float range: 1 followed by 400 zeros.
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("field", ["gamma", "eta", "margin", "cz", "beta_end"])
+def test_config_file_int_past_float_range_exits_2_with_one_line(field, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"{field}": {HUGE_INT}}}')
+    out = str(tmp_path / "run")
+    assert main(["estimate", "--scenarios", "2", "--config", str(path), "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {field}: must be finite\n"
     assert not list(tmp_path.glob("run*"))
 
 

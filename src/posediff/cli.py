@@ -1,7 +1,9 @@
 """Command-line harness: seeded experiments with CSV/JSON outputs.
 
 The subcommands are schedule, diffuse, estimate and trainsim; the docstring of each
-`cmd_*` function is its --help. Every output starts from a RunConfig (defaults ->
+`cmd_*` function is its --help. Each writes its CSVs and returns its JSON summary (None
+for schedule) and its stdout line; `main` writes the summary under the run's metadata,
+prints the line and chooses the exit code. Every output starts from a RunConfig (defaults ->
 optional JSON config file -> command-line flags) and embeds a metadata block (full
 config, seed, package version, RNG scheme) sufficient to reproduce the run. Each
 RunConfig field is declared once, with the subcommands that read it: only they register
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .denoising import Observation, decomposed_loss, parse_denoiser, parse_denoiser_spec
-from .errors import ABORTS, InvalidConfig, PoseDiffError
+from .errors import ABORTS, InvalidConfig, InvalidScheduleParams, PoseDiffError
 from .forward_diffusion import (
     FrustumBox,
     NoiseScales,
@@ -219,7 +221,13 @@ def _build_world(cfg: RunConfig, command: str | None = None) -> tuple:
     """Shared wiring: schedule, normalization, scales, box, chain, oracle. Only the parts that
     `command` reads are built (each, without one), so a config file's other fields cannot fail
     it: `schedule` gets the schedule alone, and `diffuse` gets None for the oracle."""
-    sched = make_linear_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
+    try:
+        sched = make_linear_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
+    except InvalidScheduleParams as exc:
+        raise InvalidConfig(f"steps/beta_start/beta_end: {exc}") from exc
+    except (ValueError, IndexError, MemoryError) as exc:
+        # numpy's own errors for a length it cannot allocate or index.
+        raise InvalidConfig(f"steps: no schedule of this length can be built: {exc}") from exc
     if command is not None and command not in SCENE:
         return (sched,)
     try:
@@ -282,7 +290,7 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-def cmd_schedule(cfg: RunConfig, world: tuple) -> int:
+def cmd_schedule(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     """Dump the noise schedule; CSV columns: t, beta, alpha_bar, sigma."""
     sched, *_ = world
     rows = []
@@ -290,10 +298,9 @@ def cmd_schedule(cfg: RunConfig, world: tuple) -> int:
         s2 = sigma_squared(sched, t, t - 1, cfg.eta, cfg.sigma_form)
         rows.append((t, sched.beta[t - 1], sched.alpha_bar[t], float(np.sqrt(s2))))
     _write_csv(
-        cfg.out + ".csv", _metadata(cfg, "schedule"), ["t", "beta", "alpha_bar", "sigma"], rows
+        cfg.out + ".csv", meta, ["t", "beta", "alpha_bar", "sigma"], rows
     )
-    print(f"schedule: wrote {cfg.steps} rows to {cfg.out}.csv")
-    return 0
+    return None, f"schedule: wrote {cfg.steps} rows to {cfg.out}.csv"
 
 
 def _chunks(items: list, workers: int) -> list[list]:
@@ -333,10 +340,18 @@ def _pool_map(fn, items: list, workers: int) -> Iterator:
             yield in_flight.popleft().result()
 
 
+def _stream_rows(results: Iterator, kept: list) -> Iterator:
+    """The rows that end each chunk result, one by one as the caller consumes them, so that
+    a chunk runs only when its rows are reached; the rest of each result goes to `kept`."""
+    for *rest, rows in results:
+        kept.append(rest)
+        yield from rows
+
+
 def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     """Forward-diffuse a chunk of S scenarios at all T --timesteps as one batch.
 
-    Returns its CSV rows (one pass), (S, T) in-frustum flags and (S, T, 9) noised vectors.
+    Returns its (S, T) in-frustum flags, (S, T, 9) noised vectors and CSV rows (one pass).
     """
     sched, norm, scales, box, _, _ = world
     ts = cfg.parse_timesteps()
@@ -365,26 +380,19 @@ def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     # Columns of Python values, which print as the numpy values do, only faster.
     cols = (index, t, inside.astype(int), n[:, 6], n[:, 7], n[:, 8], u, v)
     csv_rows = zip(*(col.tolist() for col in cols))
-    return csv_rows, inside.reshape(len(scenarios), -1), n.reshape(len(scenarios), -1, 9)
+    return inside.reshape(len(scenarios), -1), n.reshape(len(scenarios), -1, 9), csv_rows
 
 
-def cmd_diffuse(cfg: RunConfig, world: tuple) -> int:
+def cmd_diffuse(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     """Forward-diffuse scenario poses; CSV columns: scenario, t, in_frustum, tx_n, ty_n,
     tz_n, u, v."""
     ts = cfg.parse_timesteps()
-    chunks = _run_chunks(cfg, world, _diffuse_chunk)
     kept = []  # each chunk's (flags, vectors), for the summary
-
-    def rows():
-        for chunk_rows, *arrays in chunks:  # written as each chunk arrives
-            kept.append(arrays)
-            yield from chunk_rows
-
     _write_csv(
         cfg.out + ".csv",
-        _metadata(cfg, "diffuse"),
+        meta,
         ["scenario", "t", "in_frustum", "tx_n", "ty_n", "tz_n", "u", "v"],
-        rows(),
+        _stream_rows(_run_chunks(cfg, world, _diffuse_chunk), kept),
     )
     inside = np.concatenate([flags for flags, _ in kept])
     summary_t = {}
@@ -398,17 +406,9 @@ def cmd_diffuse(cfg: RunConfig, world: tuple) -> int:
             "component_std": pooled.std(axis=0).tolist(),
         }
     rate = int(inside.sum()) / inside.size
-
-    _write_json(
-        cfg.out + ".json",
-        {
-            "metadata": _metadata(cfg, "diffuse"),
-            "in_frustum_rate": rate,
-            "per_timestep": summary_t,
-        },
-    )
-    print(f"diffuse: in_frustum_rate={rate:.6f} over {inside.size} samples -> {cfg.out}.csv/.json")
-    return 0
+    summary = {"in_frustum_rate": rate, "per_timestep": summary_t}
+    return summary, (f"diffuse: in_frustum_rate={rate:.6f} over {inside.size} samples "
+                     f"-> {cfg.out}.csv/.json")
 
 
 def _estimate_reverse_config(cfg: RunConfig) -> ReverseConfig:
@@ -473,24 +473,17 @@ def _estimate_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     return rows, _trajectory_rows(traj, batch.index, done) if cfg.trajectories else ()
 
 
-def cmd_estimate(cfg: RunConfig, world: tuple) -> int:
+def cmd_estimate(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     """Run reverse estimation; CSV columns: scenario, add, steps, mode, aborted, reason."""
     import statistics  # only here, so that no other subcommand loads it
 
     t0 = time.perf_counter()
-    chunks = _run_chunks(cfg, world, _estimate_chunk)
-    rows = []  # every scenario's estimate row, for the CSV and the summary
-
-    def traj_rows():
-        for chunk_rows, chunk_traj in chunks:  # written as each chunk arrives
-            rows.extend(chunk_rows)
-            yield from chunk_traj
-
-    traj = traj_rows()
+    kept = []  # each chunk's estimate rows, for the CSV and the summary
+    traj = _stream_rows(_run_chunks(cfg, world, _estimate_chunk), kept)
     if cfg.trajectories:
         _write_csv(
             cfg.trajectories,
-            _metadata(cfg, "estimate"),
+            meta,
             ["scenario", "step", "timestep", "cond_t",
              "r00", "r01", "r02", "tx", "r10", "r11", "r12", "ty",
              "r20", "r21", "r22", "tz", "add"],
@@ -498,12 +491,12 @@ def cmd_estimate(cfg: RunConfig, world: tuple) -> int:
         )
     collections.deque(traj, maxlen=0)  # runs the chunks that no trajectory CSV consumed
     elapsed = time.perf_counter() - t0
+    rows = [row for (chunk_rows,) in kept for row in chunk_rows]
 
     adds = [r[1] for r in rows]
     aborted = sum(r[4] for r in rows)
     finite = [a for a in adds if np.isfinite(a)]
     summary = {
-        "metadata": _metadata(cfg, "estimate"),
         "auc": auc(adds),
         "auc_grid": AUC_GRID,
         "mean_add": float(np.mean(finite)) if finite else float("inf"),
@@ -520,18 +513,13 @@ def cmd_estimate(cfg: RunConfig, world: tuple) -> int:
 
     _write_csv(
         cfg.out + ".csv",
-        _metadata(cfg, "estimate"),
+        meta,
         ["scenario", "add", "steps", "mode", "aborted", "reason"],
         rows,
     )
-    _write_json(cfg.out + ".json", summary)
-
-    print(
-        f"estimate[{cfg.mode}/{cfg.denoiser}]: AUC={summary['auc']:.3f} "
-        f"mean_add={summary['mean_add']:.3e} aborted={aborted} "
-        f"({elapsed:.2f}s) -> {cfg.out}.csv/.json"
-    )
-    return 1 if aborted > 0 else 0
+    return summary, (f"estimate[{cfg.mode}/{cfg.denoiser}]: AUC={summary['auc']:.3f} "
+                     f"mean_add={summary['mean_add']:.3e} aborted={aborted} "
+                     f"({elapsed:.2f}s) -> {cfg.out}.csv/.json")
 
 
 def _trainsim_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> np.ndarray:
@@ -554,7 +542,7 @@ def _trainsim_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> np.ndarray
     return np.array(draws, dtype=float).transpose(2, 0, 1).reshape(-1, 5)
 
 
-def cmd_trainsim(cfg: RunConfig, world: tuple) -> int:
+def cmd_trainsim(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     """Simulate the training loop; JSON loss statistics only."""
     arr = np.concatenate(list(_run_chunks(cfg, world, _trainsim_chunk)))
     n_bins = min(10, cfg.steps)
@@ -578,7 +566,6 @@ def cmd_trainsim(cfg: RunConfig, world: tuple) -> int:
         })
 
     summary = {
-        "metadata": _metadata(cfg, "trainsim"),
         "samples": int(arr.shape[0]),
         "mean_total": float(arr[:, 4].mean()),
         "max_total": float(arr[:, 4].max()),
@@ -588,12 +575,8 @@ def cmd_trainsim(cfg: RunConfig, world: tuple) -> int:
         if len(bins) > 1
         else None,
     }
-    _write_json(cfg.out + ".json", summary)
-    print(
-        f"trainsim[{cfg.denoiser}]: {arr.shape[0]} samples, mean_total={summary['mean_total']:.3e} "
-        f"-> {cfg.out}.json"
-    )
-    return 0
+    return summary, (f"trainsim[{cfg.denoiser}]: {arr.shape[0]} samples, "
+                     f"mean_total={summary['mean_total']:.3e} -> {cfg.out}.json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -662,12 +645,17 @@ def main(argv=None) -> int:
     except (PoseDiffError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    meta = _metadata(cfg, args.command)
     try:
-        return COMMANDS[args.command](cfg, world)
+        summary, line = COMMANDS[args.command](cfg, world, meta)
     except PoseDiffError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # A scenario abort is a failed run, not a bad configuration.
         return 1 if isinstance(exc, ABORTS) else 2
+    if summary is not None:
+        _write_json(cfg.out + ".json", {"metadata": meta, **summary})
+    print(line)
+    return 1 if summary is not None and summary.get("aborted", 0) > 0 else 0
 
 
 if __name__ == "__main__":

@@ -53,7 +53,9 @@ def make_linear_schedule(
     """Linear beta schedule with alpha_bar[t] = prod_{s<=t} (1 - beta_s).
 
     Raises:
-        InvalidScheduleParams: unless 0 < beta_start <= beta_end < 1 and T >= 1.
+        InvalidScheduleParams: unless 0 < beta_start <= beta_end < 1 and T >= 1, and
+            alpha_bar decreases strictly to a last value above 0: a beta that rounds away
+            in 1 - beta, or a product that underflows, leaves no noise level to invert.
     """
     if T < 1:
         raise InvalidScheduleParams(f"T must be >= 1, got {T}")
@@ -63,6 +65,11 @@ def make_linear_schedule(
         )
     beta = np.linspace(beta_start, beta_end, T)
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
+    if not (alpha_bar[-1] > 0 and (np.diff(alpha_bar) < 0).all()):
+        raise InvalidScheduleParams(
+            f"need alpha_bar to decrease strictly to above 0, got {T} steps over betas "
+            f"({beta_start}, {beta_end})"
+        )
     return Schedule(T=T, beta=beta, alpha_bar=alpha_bar)
 
 

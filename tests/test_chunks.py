@@ -106,7 +106,7 @@ def assert_rows_match(got, want):
 def assert_diffuse_chunk_matches_reference(cfg, world):
     """Compare the chunk of every scenario with the reference; the chunk's rows and flags."""
     scen = scenarios(cfg, world)
-    got_rows, got_inside, got_n = cli._diffuse_chunk(cfg, world, scen)
+    got_inside, got_n, got_rows = cli._diffuse_chunk(cfg, world, scen)
     got_rows = list(got_rows)
     want = [reference_diffuse_rows(cfg, world, sc) for sc in scen]
     want_rows = [row for rows, _ in want for row in rows]
@@ -168,7 +168,7 @@ def test_degenerate_noised_rotation_is_judged_by_its_translation(monkeypatch):
     got_rows, got_inside = assert_diffuse_chunk_matches_reference(cfg, world)
     n = np.array(got_rows[sc.index][3:6])
     assert got_inside[sc.index].tolist() == [True] and got_rows[sc.index][2] == 1
-    noised = cli._diffuse_chunk(cfg, world, [sc])[2][0, 0]
+    noised = cli._diffuse_chunk(cfg, world, [sc])[1][0, 0]
     assert np.linalg.norm(noised[:6]) < 1e-12 and np.array_equal(noised[6:], n)
     with pytest.raises(DegenerateRotation6D):
         denormalize(NormalizedPose.from_vector(noised), sc.intrinsics, norm)

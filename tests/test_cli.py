@@ -5,6 +5,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,8 @@ from posediff.cli import RunConfig, main
 from posediff.errors import ABORTS, InvalidConfig, NonFiniteState
 from posediff.metrics import AUC_GRID
 from posediff.reverse import MODES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read(path):
@@ -488,6 +492,20 @@ BAD_INVOCATIONS = {
     # An eta whose square overflows a float.
     "estimate-eta-square-overflows": ["estimate", "--scenarios", "2", "--eta", "1e200"],
     "schedule-eta-square-overflows": ["schedule", "--eta", "1e200"],
+    # Schedules whose alpha_bar stops decreasing: a beta that rounds away in 1 - beta, or a
+    # product that underflows to 0.
+    "schedule-beta-rounds-away": ["schedule", "--beta-start", "1e-320", "--beta-end", "1e-320",
+                                  "--sigma-form", "standard", "--eta", "0.5"],
+    "estimate-beta-rounds-away": ["estimate", "--scenarios", "3", "--beta-start", "1e-320",
+                                  "--beta-end", "1e-320"],
+    "trainsim-beta-rounds-away": ["trainsim", "--scenarios", "3", "--beta-start", "1e-320",
+                                  "--beta-end", "1e-320", "--denoiser", "noisy:0.1"],
+    "schedule-alpha-bar-underflows": ["schedule", "--steps", "200000"],
+    # Step counts that numpy cannot make an array of.
+    "schedule-steps-past-int64": ["schedule", "--steps", "100000000000000000000"],
+    "schedule-steps-int64-max": ["schedule", "--steps", "9223372036854775807"],
+    "schedule-steps-array-too-big": ["schedule", "--steps", "1152921504606846976"],
+    "estimate-config-steps-past-int64": ["estimate", "--scenarios", "2", "--config", "steps.json"],
 }
 # The exact error line of some of them.
 BAD_INVOCATION_ERRORS = {
@@ -505,6 +523,24 @@ BAD_INVOCATION_ERRORS = {
     "schedule-eta-0-sigma-form": "error: sigma_form: not read with --eta 0",
     "estimate-eta-square-overflows": "error: eta: its square must be finite",
     "schedule-eta-square-overflows": "error: eta: its square must be finite",
+    "schedule-beta-rounds-away": "error: steps/beta_start/beta_end: need alpha_bar to decrease "
+                                 "strictly to above 0, got 100 steps over betas (1e-320, 1e-320)",
+    "estimate-beta-rounds-away": "error: steps/beta_start/beta_end: need alpha_bar to decrease "
+                                 "strictly to above 0, got 100 steps over betas (1e-320, 1e-320)",
+    "trainsim-beta-rounds-away": "error: steps/beta_start/beta_end: need alpha_bar to decrease "
+                                 "strictly to above 0, got 100 steps over betas (1e-320, 1e-320)",
+    "schedule-alpha-bar-underflows": "error: steps/beta_start/beta_end: need alpha_bar to "
+                                     "decrease strictly to above 0, got 200000 steps over betas "
+                                     "(0.0001, 0.02)",
+    "schedule-steps-past-int64": "error: steps: no schedule of this length can be built: "
+                                 "Maximum allowed size exceeded",
+    "schedule-steps-int64-max": "error: steps: no schedule of this length can be built: "
+                                "index -1 is out of bounds for axis 0 with size 0",
+    "schedule-steps-array-too-big": "error: steps: no schedule of this length can be built: "
+                                    "array is too big; `arr.size * arr.dtype.itemsize` is larger "
+                                    "than the maximum possible size.",
+    "estimate-config-steps-past-int64": "error: steps: no schedule of this length can be built: "
+                                        "Maximum allowed size exceeded",
 }
 
 
@@ -515,6 +551,7 @@ def test_bad_invocation_exits_2_with_one_line_and_no_file(name, tmp_path, monkey
     (tmp_path / "a_file").write_text("")
     (tmp_path / "d.csv").mkdir()
     (tmp_path / "e.json").mkdir()
+    (tmp_path / "steps.json").write_text('{"steps": 1' + "0" * 400 + "}")
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's errors
@@ -524,8 +561,85 @@ def test_bad_invocation_exits_2_with_one_line_and_no_file(name, tmp_path, monkey
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if name in BAD_INVOCATION_ERRORS:
         assert err == BAD_INVOCATION_ERRORS[name] + "\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "d.csv", "e.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "d.csv", "e.json",
+                                                          "steps.json"]
     assert not any((tmp_path / "d.csv").iterdir()) and not any((tmp_path / "e.json").iterdir())
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux")
+def test_steps_past_memory_exits_2_with_one_line_and_no_file(tmp_path):
+    """A schedule too long to allocate is a configuration error. The child's address space
+    is capped at 1.5 GiB, which the first 1.49 GiB array of 200M steps cannot fit beside."""
+    code = (
+        "import resource, sys\n"
+        "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 1536 * 2**20 if hard == resource.RLIM_INFINITY else min(hard, 1536 * 2**20)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from posediff.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "schedule", "--steps", "200000000", "--out", "run"],
+        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        "error: steps: no schedule of this length can be built: Unable to allocate 1.49 GiB "
+        "for an array with shape (200000000,) and data type float64\n"
+    )
+    assert proc.stdout == "" and not list(tmp_path.iterdir())
+
+
+# One run of each subcommand; the biased oracle aborts some of estimate's rows.
+SHARED_PATH_RUNS = {
+    "schedule": ["schedule", "--steps", "20", "--eta", "0.5"],
+    "diffuse": ["diffuse", "--scenarios", "5", "--timesteps", "1,50"],
+    "estimate": ["estimate", "--scenarios", "40", "--denoiser", "biased:3e156",
+                 "--trajectories", "traj.csv"],
+    "trainsim": ["trainsim", "--scenarios", "5", "--draws", "2"],
+}
+
+
+@pytest.mark.parametrize("command", SHARED_PATH_RUNS)
+def test_main_writes_each_summary_line_and_exit_code(command, tmp_path, monkeypatch, capsys):
+    """`main` builds the run's metadata once; every CSV's `#` lines and the JSON's metadata
+    give that config, stdout is the one summary line, and the run exits 1 exactly when its
+    summary counts aborted rows."""
+    monkeypatch.chdir(tmp_path)
+    argv = [*SHARED_PATH_RUNS[command], "--out", "run"]
+    metadata = cli._metadata
+    metas = []
+
+    def counted(cfg, cmd):
+        metas.append(metadata(cfg, cmd))
+        return metas[-1]
+
+    monkeypatch.setattr(cli, "_metadata", counted)
+    code = main(argv)
+    assert len(metas) == 1
+    meta = metas[0]
+    assert meta == metadata(cli.load_config(cli.build_parser().parse_args(argv)), command)
+    heads = [f"# command={command}", f"# seed={meta['seed']}", f"# version={meta['version']}",
+             f"# config={json.dumps(meta['config'], sort_keys=True)}"]
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert len(csvs) == {"schedule": 1, "diffuse": 1, "estimate": 2, "trainsim": 0}[command]
+    for path in csvs:
+        assert [l for l in read(path).decode().splitlines() if l.startswith("#")] == heads
+    summary = {}
+    if command == "schedule":
+        assert not (tmp_path / "run.json").exists()
+    else:
+        summary = json.loads(read(tmp_path / "run.json"))
+        assert summary.pop("metadata") == meta
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(command) and captured.out.count("\n") == 1
+    assert captured.out.rstrip().endswith("run.csv" if command == "schedule" else
+                                          "run.json" if command == "trainsim" else "run.csv/.json")
+    aborted = summary.get("aborted", 0)
+    if command == "estimate":
+        assert 0 < aborted < 40 and f" aborted={aborted} " in captured.out
+    assert code == (1 if aborted > 0 else 0)
 
 
 # Runs that leave a field at a value they would reject, and do not read that field.

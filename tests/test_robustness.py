@@ -25,7 +25,7 @@ from posediff import (
     scenario_rng,
 )
 from posediff.cli import main
-from posediff.errors import InvalidConfig, NonFiniteState
+from posediff.errors import InvalidConfig, InvalidScheduleParams, NonFiniteState
 from posediff.reverse import sigma_squared
 
 
@@ -192,6 +192,14 @@ BAD_ARGUMENTS = {
     "sigma-squared-form-unknown": (
         lambda: sigma_squared(make_linear_schedule(), 50, 25, 1.0, "x"), InvalidConfig,
         "sigma_form must be one of ('paper', 'standard')"),
+    "schedule-beta-rounds-away": (
+        lambda: make_linear_schedule(100, 1e-320, 1e-320), InvalidScheduleParams,
+        "need alpha_bar to decrease strictly to above 0, got 100 steps over betas "
+        "(1e-320, 1e-320)"),
+    "schedule-alpha-bar-underflows": (
+        lambda: make_linear_schedule(200000), InvalidScheduleParams,
+        "need alpha_bar to decrease strictly to above 0, got 200000 steps over betas "
+        "(0.0001, 0.02)"),
     "cz-past-z-max": (lambda: NormConfig(c_z=5.0), ValueError,
                       "need 0 < z_min < c_z < z_max, got (0.3, 5.0, 3.0)"),
     "z-bound-empty": (lambda: FrustumBox(xy_bound=0.45, z_bound=(1.0, 1.0)), ValueError,

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -67,7 +66,7 @@ from .reverse import (
     run_reverse,
     sigma_squared,
 )
-from .robot_chain import ChainSpec, forward_kinematics, sample_points
+from .robot_chain import ChainSpec, JointConfig, forward_kinematics, sample_points
 from .se3_camera import in_frustum
 
 RNG_SCHEME = "numpy default_rng seeded with [seed, scenario_index, stream]"
@@ -76,8 +75,13 @@ RNG_SCHEME = "numpy default_rng seeded with [seed, scenario_index, stream]"
 # numpy call overhead, which does not shrink with its length, so splitting
 # off a tiny chunk adds calls and saves nothing.
 MIN_CHUNK = 8
-# Most scenarios per chunk, so that peak memory does not grow with --scenarios.
+# Most scenarios per chunk, and most batch rows per chunk (a `diffuse` scenario is one row
+# per timestep, every other subcommand's one row), so that each worker holds one chunk's
+# scenarios and batch arrays, whatever --scenarios is. What a run keeps for its summary
+# still grows with it: `estimate`'s per-scenario results, `diffuse`'s noised vectors and
+# `trainsim`'s losses.
 MAX_CHUNK = 256
+MAX_BATCH_ROWS = 4096
 
 
 # Subcommand groups, checks and `unread` pairs that several RunConfig fields share (see
@@ -176,9 +180,12 @@ class RunConfig:
     scenarios: int = _field(100, SCENE, "scenarios in the run", AT_LEAST_1)
     seed: int = _field(0, ALL, "run seed, recorded in every output", AT_LEAST_0)
     clamp: bool = _field(True, ("diffuse", "trainsim"), "clamp diffused poses into the frustum box")
+    # "all" is range(1, steps + 1), in range by construction; it is checked before
+    # `_build_world` bounds steps, so no check here may iterate it.
     timesteps: str = _field("1,25,50,75,100", ("diffuse",), 'comma list of timesteps, or "all"',
-                            (lambda v, c: c.parse_timesteps() != [], "the list is empty"),
-                            (lambda v, c: all(1 <= t <= c.steps for t in c.parse_timesteps()),
+                            (lambda v, c: bool(c.parse_timesteps()), "the list is empty"),
+                            (lambda v, c: isinstance(ts := c.parse_timesteps(), range)
+                             or all(1 <= t <= c.steps for t in ts),
                              "values must lie in [1, {steps}]"))
     draws: int = _field(1, ("trainsim",), "draws per scenario", AT_LEAST_1)
     per_link: int = _field(9, ("trainsim",), "loss points sampled per link", AT_LEAST_1)
@@ -207,10 +214,11 @@ class RunConfig:
                     raise InvalidConfig(f"{f.name}: {msg.format_map(vars(self))}")
         return self
 
-    def parse_timesteps(self) -> list[int]:
-        """The --timesteps list; its field's checks give emptiness and the range."""
+    def parse_timesteps(self) -> list[int] | range:
+        """The --timesteps list, `all` as range(1, steps + 1), which holds no list; its field's
+        checks give emptiness and the range."""
         if self.timesteps.strip().lower() == "all":
-            return list(range(1, self.steps + 1))
+            return range(1, self.steps + 1)
         try:
             return [int(x) for x in self.timesteps.split(",") if x.strip()]
         except ValueError as exc:
@@ -249,6 +257,14 @@ def _build_world(cfg: RunConfig, command: str | None = None) -> tuple:
         chain = ChainSpec.from_json(cfg.chain) if cfg.chain else ChainSpec()
     except (OSError, ValueError, TypeError) as exc:
         raise InvalidConfig(f"chain: {exc}") from exc
+    if command is None or not _unread(cfg, RunConfig.__dataclass_fields__["per_link"], command):
+        try:
+            sample_points(chain, JointConfig.zeros(chain.n_joints), cfg.per_link)
+        except (ValueError, MemoryError) as exc:
+            # numpy's own errors for a point count it cannot allocate, and sample_points' for
+            # one that numpy miscounts.
+            raise InvalidConfig(f"per_link: no loss point set of this size can be built: "
+                                f"{exc}") from exc
     oracle = None
     if command is None or not _unread(cfg, RunConfig.__dataclass_fields__["denoiser"], command):
         oracle = parse_denoiser(cfg.denoiser, sched, scales, norm, competence=cfg.competence)
@@ -283,6 +299,19 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """`np.percentile(values, q)` of the values `ordered` sorts, by its `linear` method's
+    arithmetic: without the `numpy.ma` import that np.percentile's first call makes."""
+    if math.isnan(ordered[-1]):  # a NaN sorts last, and np.percentile returns it
+        return float(ordered[-1])
+    i = (len(ordered) - 1) * (q / 100)
+    lo = math.floor(i)
+    a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+    gamma = i - lo
+    diff = b - a
+    return float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+
+
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Rank correlation of small bin summaries; tied values are ranked in order."""
     rx = np.argsort(np.argsort(x)).astype(float)
@@ -303,23 +332,30 @@ def cmd_schedule(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     return None, f"schedule: wrote {cfg.steps} rows to {cfg.out}.csv"
 
 
-def _chunks(items: list, workers: int) -> list[list]:
-    """`items` split into contiguous chunks of near-equal length: one per
-    worker while each keeps MIN_CHUNK items, and more where needed to keep
-    every chunk within MAX_CHUNK."""
-    n = max(1, min(workers, len(items) // MIN_CHUNK), -(-len(items) // MAX_CHUNK))
+def _chunks(items, workers: int, rows: int = 1) -> list:
+    """`items` (a list or a range) split into contiguous chunks of near-equal length: one
+    per worker while each keeps MIN_CHUNK items, and more where needed to keep every chunk
+    within MAX_CHUNK items and, at `rows` batch rows per item, within MAX_BATCH_ROWS rows
+    (an item of more rows is a chunk alone)."""
+    cap = max(1, min(MAX_CHUNK, MAX_BATCH_ROWS // rows))
+    n = max(1, min(workers, len(items) // MIN_CHUNK), -(-len(items) // cap))
     bounds = [len(items) * k // n for k in range(n + 1)]
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _run_chunks(cfg: RunConfig, world: tuple, run_chunk) -> Iterator:
-    """`run_chunk(cfg, world, chunk)` for each `_chunks` chunk of the run's scenarios, in
-    order as the caller reaches it, on a thread pool with --workers > 1. The scenarios are
-    drawn at once, inside the world's frustum box, which `main` built before any output."""
+def _run_chunks(cfg: RunConfig, world: tuple, run_chunk, rows: int = 1) -> Iterator:
+    """`run_chunk(cfg, world, scenarios)` for each `_chunks` range of the run's scenario
+    indices, at `rows` batch rows per scenario, in order as the caller reaches it, on a
+    thread pool with --workers > 1. Each chunk draws its own scenarios where it runs, inside
+    the world's frustum box, which `main` built before any output; so a run holds only the
+    chunks in flight, whatever --scenarios is."""
     _, norm, _, box, chain, _ = world
-    scen = generate_scenarios(cfg.seed, cfg.scenarios, box, chain, norm)
-    chunks = _chunks(scen.scenarios, cfg.workers)
-    run = functools.partial(run_chunk, cfg, world)
+
+    def run(indices: range):
+        scen = generate_scenarios(cfg.seed, len(indices), box, chain, norm, start=indices.start)
+        return run_chunk(cfg, world, scen.scenarios)
+
+    chunks = _chunks(range(cfg.scenarios), cfg.workers, rows)
     if cfg.workers <= 1:
         return map(run, chunks)
     return _pool_map(run, chunks, cfg.workers)
@@ -340,11 +376,11 @@ def _pool_map(fn, items: list, workers: int) -> Iterator:
             yield in_flight.popleft().result()
 
 
-def _stream_rows(results: Iterator, kept: list) -> Iterator:
+def _stream_rows(results: Iterator, keep) -> Iterator:
     """The rows that end each chunk result, one by one as the caller consumes them, so that
-    a chunk runs only when its rows are reached; the rest of each result goes to `kept`."""
+    a chunk runs only when its rows are reached; the rest of each result goes to `keep`."""
     for *rest, rows in results:
-        kept.append(rest)
+        keep(rest)
         yield from rows
 
 
@@ -387,19 +423,29 @@ def cmd_diffuse(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     """Forward-diffuse scenario poses; CSV columns: scenario, t, in_frustum, tx_n, ty_n,
     tz_n, u, v."""
     ts = cfg.parse_timesteps()
-    kept = []  # each chunk's (flags, vectors), for the summary
+    # Each chunk's (flags, vectors), for the summary, kept as the chunk's own arrays of at
+    # most MAX_BATCH_ROWS rows. One (S, T, 9) array of the whole run passes 4 MiB from 58k
+    # samples, the size from which numpy advises the kernel to back it with huge pages; a
+    # huge-page fault costs what the machine's free memory makes it cost, so run times
+    # would vary from one run to the next.
+    kept = []
     _write_csv(
         cfg.out + ".csv",
         meta,
         ["scenario", "t", "in_frustum", "tx_n", "ty_n", "tz_n", "u", "v"],
-        _stream_rows(_run_chunks(cfg, world, _diffuse_chunk), kept),
+        _stream_rows(_run_chunks(cfg, world, _diffuse_chunk, len(ts)), kept.append),
     )
     inside = np.concatenate([flags for flags, _ in kept])
+    # A timestep listed more than once pools its columns, scenario by scenario.
+    columns = {}
+    for j, t in enumerate(ts):
+        columns.setdefault(t, []).append(j)
     summary_t = {}
-    for t in dict.fromkeys(ts):
-        # A timestep listed more than once pools its columns, scenario by scenario.
-        cols = [j for j, tj in enumerate(ts) if tj == t]
-        pooled = np.concatenate([n[:, cols] for _, n in kept]).reshape(-1, 9)
+    for t, cols in columns.items():
+        # One timestep's column of every chunk is a view, so the gather costs one basic
+        # index per chunk even when many small chunks hold many timesteps.
+        pooled = np.stack([np.concatenate([n[:, j] for _, n in kept]) for j in cols],
+                          axis=1).reshape(-1, 9)
         summary_t[str(t)] = {
             "in_frustum_rate": int(inside[:, cols].sum()) / inside[:, cols].size,
             "component_mean": pooled.mean(axis=0).tolist(),
@@ -479,7 +525,7 @@ def cmd_estimate(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
 
     t0 = time.perf_counter()
     kept = []  # each chunk's estimate rows, for the CSV and the summary
-    traj = _stream_rows(_run_chunks(cfg, world, _estimate_chunk), kept)
+    traj = _stream_rows(_run_chunks(cfg, world, _estimate_chunk), kept.append)
     if cfg.trajectories:
         _write_csv(
             cfg.trajectories,
@@ -553,6 +599,7 @@ def cmd_trainsim(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
         chunk = arr[mask]
         if chunk.size == 0:
             continue
+        total = np.sort(chunk[:, 4])
         bins.append({
             "t_lo": int(np.ceil(edges[b])),
             "t_hi": int(np.ceil(edges[b + 1]) - 1),
@@ -561,8 +608,8 @@ def cmd_trainsim(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
             "mean_rot": float(chunk[:, 2].mean()),
             "mean_z": float(chunk[:, 3].mean()),
             "mean_total": float(chunk[:, 4].mean()),
-            "p50_total": float(np.percentile(chunk[:, 4], 50)),
-            "p90_total": float(np.percentile(chunk[:, 4], 90)),
+            "p50_total": _percentile(total, 50),
+            "p90_total": _percentile(total, 90),
         })
 
     summary = {

@@ -92,9 +92,13 @@ def generate_scenarios(
     box: FrustumBox | None = None,
     chain: ChainSpec | None = None,
     cfg: NormConfig | None = None,
+    start: int = 0,
 ) -> ScenarioSet:
     """Deterministic scenario set with every normalized translation in `box`
     (default `FrustumBox.for_config(cfg)`), so every ground truth is in-frustum.
+
+    The scenarios are those of indices `start` to `start + count - 1`. Each draws from its
+    own generator, so they equal those rows of a set drawn from index 0.
 
     Raises:
         InvalidRange: if count < 1.
@@ -111,7 +115,7 @@ def generate_scenarios(
     lo = np.array([-JOINT_LIMIT] * J + [-box.xy_bound, -box.xy_bound, box.z_bound[0]])
     span = np.array([JOINT_LIMIT] * J + [box.xy_bound, box.xy_bound, box.z_bound[1]]) - lo
     scenarios = []
-    for i in range(count):
+    for i in range(start, start + count):
         rng = scenario_rng(seed, i, STREAM_SCENARIO)
         f = float(rng.uniform(*FOCAL_RANGE))
         w, h = IMAGE_SIZES[int(rng.integers(len(IMAGE_SIZES)))]

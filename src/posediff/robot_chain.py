@@ -182,6 +182,8 @@ def sample_points(spec: ChainSpec, joints: JointConfig, per_link: int = 9) -> np
         raise ValueError("per_link must be >= 1")
     keypoints = forward_kinematics(spec, joints)
     fracs = np.arange(1, per_link + 1) / (per_link + 1)
+    if len(fracs) != per_link:  # numpy's arange gives no values for lengths near 2**63
+        raise ValueError(f"per_link {per_link} is past numpy's index range")
     a, b = keypoints[..., :-1, None, :], keypoints[..., 1:, None, :]
     interior = a + fracs[:, None] * (b - a)
     return np.concatenate(

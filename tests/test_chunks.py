@@ -10,7 +10,9 @@ agree exactly and floats to 1e-12 relative.
 """
 
 import itertools
+import json
 import math
+import os
 import sys
 import threading
 import time
@@ -299,3 +301,79 @@ def test_run_chunks_keeps_at_most_workers_chunks_in_flight():
     want = [chunk[0] for chunk in cli._chunks(list(range(cfg.scenarios)), cfg.workers)]
     assert len(want) == 6
     assert [first, *results] == want
+
+
+@pytest.mark.parametrize("seed", [4, 2**40 + 3])
+def test_scenarios_from_a_start_index_are_rows_of_the_whole_run(seed):
+    cfg = cli.RunConfig(seed=seed, scenarios=60).validate()
+    world = cli._build_world(cfg)
+    whole = scenarios(cfg, world)
+    for start, count in ((0, 60), (0, 1), (1, 7), (17, 30), (59, 1)):
+        part = generate_scenarios(seed, count, world[3], world[4], world[1], start=start).scenarios
+        for got, want in zip(part, whole[start:start + count], strict=True):
+            assert got.index == want.index
+            for a, b in ((got.gt_pose.R, want.gt_pose.R), (got.gt_pose.t, want.gt_pose.t),
+                         (got.joints.angles, want.joints.angles)):
+                assert a.tobytes() == b.tobytes()
+            assert got.intrinsics == want.intrinsics
+
+
+@pytest.mark.parametrize("rows, lengths, worker_lengths", [
+    (1, [250] * 4, [8] * 3),  # MAX_CHUNK scenarios bound the chunk
+    (3, [250] * 4, [8] * 3),
+    (100, [40] * 25, [8] * 3),  # MAX_BATCH_ROWS rows bound it
+    (1000, [4] * 250, [4] * 6),
+    (5000, [1] * 1000, [1] * 24),  # a scenario of more rows than the cap is a chunk alone
+])
+def test_chunks_keep_within_the_row_cap(rows, lengths, worker_lengths):
+    chunks = cli._chunks(range(1000), 1, rows)
+    assert [len(c) for c in chunks] == lengths
+    assert [i for c in chunks for i in c] == list(range(1000))
+    assert all(len(c) * rows <= max(cli.MAX_BATCH_ROWS, rows) for c in chunks)
+    # 24 scenarios on 3 workers: one chunk per worker while the caps allow it.
+    assert [len(c) for c in cli._chunks(range(24), 3, rows)] == worker_lengths
+
+
+CHUNK_RULE_RUNS = {
+    "diffuse-all": ["diffuse", "--scenarios", "20", "--steps", "3", "--timesteps", "all",
+                    "--seed", "6"],
+    "estimate-trajectories": ["estimate", "--scenarios", "20", "--denoiser", "noisy:0.2",
+                              "--seed", "6", "--trajectories", "traj.csv"],
+    "trainsim": ["trainsim", "--scenarios", "20", "--draws", "2", "--denoiser", "noisy:0.2",
+                 "--seed", "6"],
+}
+
+
+def run_outputs(argv, folder):
+    """Each output file of `argv` run in `folder`, as bytes; the `#` lines of CSVs and the
+    JSON metadata block, which record the config, are left out."""
+    folder.mkdir()
+    old = os.getcwd()
+    os.chdir(folder)
+    try:
+        assert cli.main([*argv, "--out", "run"]) == 0
+    finally:
+        os.chdir(old)
+    outputs = {}
+    for path in sorted(folder.iterdir()):
+        if path.suffix == ".json":
+            outputs[path.name] = {k: v for k, v in json.loads(path.read_text()).items()
+                                  if k != "metadata"}
+        else:
+            outputs[path.name] = b"".join(line for line in path.read_bytes().splitlines(True)
+                                          if not line.startswith(b"#"))
+    return outputs
+
+
+@pytest.mark.parametrize("name", CHUNK_RULE_RUNS)
+def test_chunk_caps_and_workers_leave_the_bytes_unchanged(name, tmp_path, monkeypatch):
+    argv = CHUNK_RULE_RUNS[name]
+    want = run_outputs(argv, tmp_path / "default")
+    assert want
+    for max_chunk, max_rows in itertools.product((1, 7), (1, 7)):
+        monkeypatch.setattr(cli, "MAX_CHUNK", max_chunk)
+        monkeypatch.setattr(cli, "MAX_BATCH_ROWS", max_rows)
+        assert run_outputs(argv, tmp_path / f"caps{max_chunk}_{max_rows}") == want
+        assert run_outputs([*argv, "--workers", "3"], tmp_path / f"w{max_chunk}_{max_rows}") == want
+    monkeypatch.undo()
+    assert run_outputs([*argv, "--workers", "3"], tmp_path / "workers") == want

@@ -46,7 +46,7 @@ class TestRunConfig:
             RunConfig(timesteps="5,banana").validate()
 
     def test_timesteps_parsing(self):
-        assert RunConfig(timesteps="all", steps=10).parse_timesteps() == list(range(1, 11))
+        assert RunConfig(timesteps="all", steps=10).parse_timesteps() == range(1, 11)
         assert RunConfig(timesteps="1, 50,100").parse_timesteps() == [1, 50, 100]
 
 
@@ -386,6 +386,29 @@ class TestTrainsimCommand:
         jb["metadata"]["config"].pop("out")
         assert ja == jb
 
+    def test_percentile_is_numpy_percentile_bit_for_bit(self):
+        draw = np.random.default_rng(23)
+        for n in range(1, 65):
+            for values in (draw.exponential(1e-3, n), draw.integers(0, 3, n) * 0.1,
+                           draw.standard_normal(n) * 10.0 ** draw.integers(-300, 300)):
+                for q in (50, 90):
+                    got = cli._percentile(np.sort(values), q)
+                    assert got.hex() == float(np.percentile(values, q)).hex(), (n, q, values)
+
+    def test_trainsim_does_not_import_numpy_ma(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from posediff.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, "trainsim", "--scenarios", "20", "--denoiser",
+             "noisy:0.1", "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        ).stdout
+        assert out.splitlines()[-1] == "False"
+
 
 class TestConfigHandling:
     def test_config_file_plus_flag_override(self, tmp_path):
@@ -506,6 +529,14 @@ BAD_INVOCATIONS = {
     "schedule-steps-int64-max": ["schedule", "--steps", "9223372036854775807"],
     "schedule-steps-array-too-big": ["schedule", "--steps", "1152921504606846976"],
     "estimate-config-steps-past-int64": ["estimate", "--scenarios", "2", "--config", "steps.json"],
+    # "all" timesteps of a step count that numpy cannot make an array of.
+    "diffuse-all-steps-past-int64": ["diffuse", "--steps", "100000000000000000000",
+                                     "--timesteps", "all"],
+    # Loss point counts that numpy cannot make an array of, or miscounts.
+    "trainsim-per-link-past-int64": ["trainsim", "--scenarios", "2", "--per-link",
+                                     "100000000000000000000"],
+    "trainsim-per-link-int64-max": ["trainsim", "--scenarios", "2", "--per-link",
+                                    "9223372036854775807"],
 }
 # The exact error line of some of them.
 BAD_INVOCATION_ERRORS = {
@@ -541,6 +572,13 @@ BAD_INVOCATION_ERRORS = {
                                     "than the maximum possible size.",
     "estimate-config-steps-past-int64": "error: steps: no schedule of this length can be built: "
                                         "Maximum allowed size exceeded",
+    "diffuse-all-steps-past-int64": "error: steps: no schedule of this length can be built: "
+                                    "Maximum allowed size exceeded",
+    "trainsim-per-link-past-int64": "error: per_link: no loss point set of this size can be "
+                                    "built: Maximum allowed size exceeded",
+    "trainsim-per-link-int64-max": "error: per_link: no loss point set of this size can be "
+                                   "built: per_link 9223372036854775807 is past numpy's index "
+                                   "range",
 }
 
 

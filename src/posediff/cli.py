@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -77,11 +78,14 @@ RNG_SCHEME = "numpy default_rng seeded with [seed, scenario_index, stream]"
 MIN_CHUNK = 8
 # Most scenarios per chunk, and most batch rows per chunk (a `diffuse` scenario is one row
 # per timestep, every other subcommand's one row), so that each worker holds one chunk's
-# scenarios and batch arrays, whatever --scenarios is. What a run keeps for its summary
-# still grows with it: `estimate`'s per-scenario results, `diffuse`'s noised vectors and
-# `trainsim`'s losses.
+# scenarios and batch arrays, whatever --scenarios is. `diffuse` keeps per-timestep counts
+# in memory and its noised vectors on disk; what still grows with --scenarios is
+# `estimate`'s per-scenario result rows and `trainsim`'s loss rows.
 MAX_CHUNK = 256
 MAX_BATCH_ROWS = 4096
+# Most --workers threads, each of which may hold a chunk in flight. It is fixed, not the
+# machine's CPU count, so that a config file that runs on one machine runs on every one.
+MAX_WORKERS = 64
 
 
 # Subcommand groups, checks and `unread` pairs that several RunConfig fields share (see
@@ -200,7 +204,8 @@ class RunConfig:
         (lambda v, c: v is None or os.path.abspath(v) not in
          [os.path.abspath(c.out + ext) for ext in (".csv", ".json")],
          "{trajectories!r} is also an --out file"))
-    workers: int = _field(1, SCENE, "threads, each running a chunk of scenarios", AT_LEAST_1)
+    workers: int = _field(1, SCENE, "threads, each running a chunk of scenarios", AT_LEAST_1,
+                          (lambda v, c: v <= MAX_WORKERS, f"must be <= {MAX_WORKERS}"))
     timing: bool = _field(False, ("estimate",), "put wall-clock times in the JSON (varies by run)")
 
     def validate(self, command: str | None = None) -> "RunConfig":
@@ -413,47 +418,81 @@ def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     u = np.where(behind, np.nan, K.w * n[:, 6] + K.cx)
     v = np.where(behind, np.nan, K.h * n[:, 7] + K.cy)
     index = batch.index[rows]
-    # Columns of Python values, which print as the numpy values do, only faster.
+    # Columns of Python values, which print as the numpy values do, only faster; made one
+    # scenario's T rows at a time, so that the chunk's rows never all exist as objects.
     cols = (index, t, inside.astype(int), n[:, 6], n[:, 7], n[:, 8], u, v)
-    csv_rows = zip(*(col.tolist() for col in cols))
+    T = len(ts)
+    csv_rows = itertools.chain.from_iterable(
+        zip(*(col[a:a + T].tolist() for col in cols)) for a in range(0, len(n), T))
     return inside.reshape(len(scenarios), -1), n.reshape(len(scenarios), -1, 9), csv_rows
 
 
 def cmd_diffuse(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     """Forward-diffuse scenario poses; CSV columns: scenario, t, in_frustum, tx_n, ty_n,
     tz_n, u, v."""
+    import tempfile  # only here, so that no other subcommand loads it
+
     ts = cfg.parse_timesteps()
-    # Each chunk's (flags, vectors), for the summary, kept as the chunk's own arrays of at
-    # most MAX_BATCH_ROWS rows. One (S, T, 9) array of the whole run passes 4 MiB from 58k
-    # samples, the size from which numpy advises the kernel to back it with huge pages; a
-    # huge-page fault costs what the machine's free memory makes it cost, so run times
-    # would vary from one run to the next.
-    kept = []
-    _write_csv(
-        cfg.out + ".csv",
-        meta,
-        ["scenario", "t", "in_frustum", "tx_n", "ty_n", "tz_n", "u", "v"],
-        _stream_rows(_run_chunks(cfg, world, _diffuse_chunk, len(ts)), kept.append),
-    )
-    inside = np.concatenate([flags for flags, _ in kept])
-    # A timestep listed more than once pools its columns, scenario by scenario.
-    columns = {}
-    for j, t in enumerate(ts):
-        columns.setdefault(t, []).append(j)
-    summary_t = {}
-    for t, cols in columns.items():
-        # One timestep's column of every chunk is a view, so the gather costs one basic
-        # index per chunk even when many small chunks hold many timesteps.
-        pooled = np.stack([np.concatenate([n[:, j] for _, n in kept]) for j in cols],
-                          axis=1).reshape(-1, 9)
-        summary_t[str(t)] = {
-            "in_frustum_rate": int(inside[:, cols].sum()) / inside[:, cols].size,
-            "component_mean": pooled.mean(axis=0).tolist(),
-            "component_std": pooled.std(axis=0).tolist(),
-        }
-    rate = int(inside.sum()) / inside.size
+    # The summary keeps each timestep's in-frustum count in memory, and each chunk's (S_c,
+    # T, 9) noised vectors, timestep-major, in an unlinked file in the output directory,
+    # which `_writable` checked: 72 B (nine float64s) per sample of disk while the run
+    # lasts, and nothing left behind if it dies. A timestep's vectors are read back with
+    # positioned reads, not mapped, since mapped pages count toward the peak memory.
+    counts = np.zeros(len(ts), dtype=np.int64)
+    sizes = []  # each chunk's scenario count, in file order
+    folder = os.path.dirname(os.path.abspath(cfg.out + ".csv"))
+    with tempfile.TemporaryFile(dir=folder) as fh:
+
+        def keep(result):
+            flags, n = result
+            np.add(counts, flags.sum(axis=0), out=counts)
+            fh.write(n.transpose(1, 0, 2).tobytes())
+            sizes.append(len(n))
+
+        _write_csv(
+            cfg.out + ".csv",
+            meta,
+            ["scenario", "t", "in_frustum", "tx_n", "ty_n", "tz_n", "u", "v"],
+            _stream_rows(_run_chunks(cfg, world, _diffuse_chunk, len(ts)), keep),
+        )
+
+        # Each read takes one chunk's piece of `per_read` consecutive timesteps, so that the
+        # summary holds about MAX_BATCH_ROWS vectors and a run of many small chunks does not
+        # make one read per chunk and timestep.
+        per_read = max(1, MAX_BATCH_ROWS // cfg.scenarios)
+        block, first = np.empty((0, cfg.scenarios, 9)), 0
+
+        def column(j: int) -> np.ndarray:
+            """Timestep j's (S, 9) vectors of every chunk, in scenario order."""
+            nonlocal block, first
+            if not first <= j < first + len(block):
+                block, first = np.empty((min(per_read, len(ts) - j), cfg.scenarios, 9)), j
+                offset = start = 0
+                for size in sizes:
+                    piece = np.empty((len(block), size, 9))
+                    fh.seek(offset + j * size * 72)
+                    fh.readinto(piece)
+                    block[:, start:start + size] = piece
+                    offset += len(ts) * size * 72
+                    start += size
+            return block[j - first]
+
+        # A timestep listed more than once pools its columns, scenario by scenario.
+        columns = {}
+        for j, t in enumerate(ts):
+            columns.setdefault(t, []).append(j)
+        summary_t = {}
+        for t, cols in columns.items():
+            pooled = np.stack([column(j) for j in cols], axis=1).reshape(-1, 9)
+            summary_t[str(t)] = {
+                "in_frustum_rate": int(counts[cols].sum()) / (cfg.scenarios * len(cols)),
+                "component_mean": pooled.mean(axis=0).tolist(),
+                "component_std": pooled.std(axis=0).tolist(),
+            }
+    samples = cfg.scenarios * len(ts)
+    rate = int(counts.sum()) / samples
     summary = {"in_frustum_rate": rate, "per_timestep": summary_t}
-    return summary, (f"diffuse: in_frustum_rate={rate:.6f} over {inside.size} samples "
+    return summary, (f"diffuse: in_frustum_rate={rate:.6f} over {samples} samples "
                      f"-> {cfg.out}.csv/.json")
 
 

@@ -45,6 +45,13 @@ class TestRunConfig:
         with pytest.raises(InvalidConfig, match="timesteps"):
             RunConfig(timesteps="5,banana").validate()
 
+    def test_workers_are_bounded(self):
+        for command in ("diffuse", "estimate", "trainsim"):
+            RunConfig(workers=cli.MAX_WORKERS).validate(command)
+            with pytest.raises(InvalidConfig, match=f"workers: must be <= {cli.MAX_WORKERS}"):
+                RunConfig(workers=cli.MAX_WORKERS + 1).validate(command)
+        RunConfig(workers=cli.MAX_WORKERS + 1).validate("schedule")  # a file's unread field
+
     def test_timesteps_parsing(self):
         assert RunConfig(timesteps="all", steps=10).parse_timesteps() == range(1, 11)
         assert RunConfig(timesteps="1, 50,100").parse_timesteps() == [1, 50, 100]
@@ -537,6 +544,8 @@ BAD_INVOCATIONS = {
                                      "100000000000000000000"],
     "trainsim-per-link-int64-max": ["trainsim", "--scenarios", "2", "--per-link",
                                     "9223372036854775807"],
+    # More threads than the fixed bound, which a run of few scenarios would not start.
+    "estimate-workers-past-bound": ["estimate", "--scenarios", "16", "--workers", "100000"],
 }
 # The exact error line of some of them.
 BAD_INVOCATION_ERRORS = {
@@ -579,6 +588,7 @@ BAD_INVOCATION_ERRORS = {
     "trainsim-per-link-int64-max": "error: per_link: no loss point set of this size can be "
                                    "built: per_link 9223372036854775807 is past numpy's index "
                                    "range",
+    "estimate-workers-past-bound": "error: workers: must be <= 64",
 }
 
 

@@ -1,7 +1,9 @@
 """Peak memory is set by the chunks in flight, not by --scenarios.
 
-Each run is a child process that reports its own peak resident set (`VmHWM`) as it exits,
-so the test process's own allocations do not count.
+`estimate` keeps each scenario's result row for its summary and `trainsim` each draw's
+loss row; `diffuse` keeps each timestep's in-frustum count in memory and its noised vectors
+in a file. Each run is a child process that reports its own peak resident set (`VmHWM`) as
+it exits, so the test process's own allocations do not count.
 """
 
 import os
@@ -39,3 +41,12 @@ def test_peak_memory_does_not_grow_with_scenarios(command, tmp_path):
     # results (about 200 B each) are kept for the whole run.
     small, large = (peak_mb([command, "--scenarios", str(n)], tmp_path) for n in (2000, 20000))
     assert large - small < 10, (small, large)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
+def test_diffuse_peak_memory_does_not_grow_with_scenarios(tmp_path):
+    # 100 timesteps per scenario, whose vectors go to a file; the summary reads them back
+    # about MAX_BATCH_ROWS at a time, and pools one timestep's (72 B per scenario).
+    small, large = (peak_mb(["diffuse", "--timesteps", "all", "--scenarios", str(n)], tmp_path)
+                    for n in (200, 2000))
+    assert large - small < 3, (small, large)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -80,7 +81,7 @@ MIN_CHUNK = 8
 # per timestep, every other subcommand's one row), so that each worker holds one chunk's
 # scenarios and batch arrays, whatever --scenarios is. `diffuse` keeps per-timestep counts
 # in memory and its noised vectors on disk; what still grows with --scenarios is
-# `estimate`'s per-scenario result rows and `trainsim`'s loss rows.
+# `estimate`'s ADD per scenario and `trainsim`'s loss rows.
 MAX_CHUNK = 256
 MAX_BATCH_ROWS = 4096
 # Most --workers threads, each of which may hold a chunk in flight. It is fixed, not the
@@ -286,21 +287,39 @@ def _metadata(cfg: RunConfig, command: str) -> dict:
     }
 
 
-def _write_csv(path: str, meta: dict, header: list[str], rows) -> None:
-    """Write the `#` metadata lines, then the header and the rows (tuples, consumed as
-    written) as unquoted `str()` fields ending in CRLF, as csv.writer does for such fields."""
+@contextlib.contextmanager
+def _csv_file(path: str, meta: dict, header: list[str]) -> Iterator:
+    """Open the CSV at `path` and write its `#` metadata lines and header; yield a function
+    that writes a batch of rows (tuples of the header's width) with `_write_csv`."""
     fmt = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         for key in ("command", "seed", "version"):
             fh.write(f"# {key}={meta[key]}\n")
         fh.write(f"# config={json.dumps(meta['config'], sort_keys=True)}\n")
         fh.write(fmt % tuple(header))
-        fh.writelines(fmt % row for row in rows)
+        yield lambda rows: _write_csv(fh, fmt, rows)
+
+
+def _write_csv(fh, fmt: str, rows) -> None:
+    """Write `rows` (consumed as written) as unquoted `str()` fields ending in CRLF, as
+    csv.writer does for such fields."""
+    fh.writelines(fmt % row for row in rows)
+
+
+def _strict(value):
+    """`value` with every non-finite float in it, at any depth, as None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -331,9 +350,8 @@ def cmd_schedule(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     for t in range(1, cfg.steps + 1):
         s2 = sigma_squared(sched, t, t - 1, cfg.eta, cfg.sigma_form)
         rows.append((t, sched.beta[t - 1], sched.alpha_bar[t], float(np.sqrt(s2))))
-    _write_csv(
-        cfg.out + ".csv", meta, ["t", "beta", "alpha_bar", "sigma"], rows
-    )
+    with _csv_file(cfg.out + ".csv", meta, ["t", "beta", "alpha_bar", "sigma"]) as write:
+        write(rows)
     return None, f"schedule: wrote {cfg.steps} rows to {cfg.out}.csv"
 
 
@@ -379,14 +397,6 @@ def _pool_map(fn, items: list, workers: int) -> Iterator:
             in_flight.append(pool.submit(fn, item))
         while in_flight:
             yield in_flight.popleft().result()
-
-
-def _stream_rows(results: Iterator, keep) -> Iterator:
-    """The rows that end each chunk result, one by one as the caller consumes them, so that
-    a chunk runs only when its rows are reached; the rest of each result goes to `keep`."""
-    for *rest, rows in results:
-        keep(rest)
-        yield from rows
 
 
 def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
@@ -441,20 +451,14 @@ def cmd_diffuse(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     counts = np.zeros(len(ts), dtype=np.int64)
     sizes = []  # each chunk's scenario count, in file order
     folder = os.path.dirname(os.path.abspath(cfg.out + ".csv"))
+    header = ["scenario", "t", "in_frustum", "tx_n", "ty_n", "tz_n", "u", "v"]
     with tempfile.TemporaryFile(dir=folder) as fh:
-
-        def keep(result):
-            flags, n = result
-            np.add(counts, flags.sum(axis=0), out=counts)
-            fh.write(n.transpose(1, 0, 2).tobytes())
-            sizes.append(len(n))
-
-        _write_csv(
-            cfg.out + ".csv",
-            meta,
-            ["scenario", "t", "in_frustum", "tx_n", "ty_n", "tz_n", "u", "v"],
-            _stream_rows(_run_chunks(cfg, world, _diffuse_chunk, len(ts)), keep),
-        )
+        with _csv_file(cfg.out + ".csv", meta, header) as write:
+            for flags, n, rows in _run_chunks(cfg, world, _diffuse_chunk, len(ts)):
+                write(rows)
+                np.add(counts, flags.sum(axis=0), out=counts)
+                fh.write(n.transpose(1, 0, 2).tobytes())
+                sizes.append(len(n))
 
         # Each read takes one chunk's piece of `per_read` consecutive timesteps, so that the
         # summary holds about MAX_BATCH_ROWS vectors and a run of many small chunks does not
@@ -563,23 +567,23 @@ def cmd_estimate(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     import statistics  # only here, so that no other subcommand loads it
 
     t0 = time.perf_counter()
-    kept = []  # each chunk's estimate rows, for the CSV and the summary
-    traj = _stream_rows(_run_chunks(cfg, world, _estimate_chunk), kept.append)
-    if cfg.trajectories:
-        _write_csv(
-            cfg.trajectories,
-            meta,
-            ["scenario", "step", "timestep", "cond_t",
-             "r00", "r01", "r02", "tx", "r10", "r11", "r12", "ty",
-             "r20", "r21", "r22", "tz", "add"],
-            traj,
-        )
-    collections.deque(traj, maxlen=0)  # runs the chunks that no trajectory CSV consumed
+    # Only what the summary reads outlives a chunk; its rows are written as it ends.
+    adds, aborted, reasons = [], 0, set()
+    header = ["scenario", "add", "steps", "mode", "aborted", "reason"]
+    traj_header = ["scenario", "step", "timestep", "cond_t", "r00", "r01", "r02", "tx",
+                   "r10", "r11", "r12", "ty", "r20", "r21", "r22", "tz", "add"]
+    traj_file = (_csv_file(cfg.trajectories, meta, traj_header) if cfg.trajectories
+                 else contextlib.nullcontext())
+    with _csv_file(cfg.out + ".csv", meta, header) as write, traj_file as write_traj:
+        for rows, traj_rows in _run_chunks(cfg, world, _estimate_chunk):
+            write(rows)
+            if write_traj:
+                write_traj(traj_rows)
+            adds.extend(r[1] for r in rows)
+            aborted += sum(r[4] for r in rows)
+            reasons.update(r[5] for r in rows if r[4])
     elapsed = time.perf_counter() - t0
-    rows = [row for (chunk_rows,) in kept for row in chunk_rows]
 
-    adds = [r[1] for r in rows]
-    aborted = sum(r[4] for r in rows)
     finite = [a for a in adds if np.isfinite(a)]
     summary = {
         "auc": auc(adds),
@@ -590,18 +594,11 @@ def cmd_estimate(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
         "median_add": statistics.median(finite) if finite else float("inf"),
         "scenarios": cfg.scenarios,
         "aborted": aborted,
-        "abort_reasons": sorted({r[5] for r in rows if r[4]}),
+        "abort_reasons": sorted(reasons),
     }
     if cfg.timing:
         summary["runtime_seconds"] = elapsed
         summary["scenarios_per_second"] = cfg.scenarios / elapsed if elapsed > 0 else None
-
-    _write_csv(
-        cfg.out + ".csv",
-        meta,
-        ["scenario", "add", "steps", "mode", "aborted", "reason"],
-        rows,
-    )
     return summary, (f"estimate[{cfg.mode}/{cfg.denoiser}]: AUC={summary['auc']:.3f} "
                      f"mean_add={summary['mean_add']:.3e} aborted={aborted} "
                      f"({elapsed:.2f}s) -> {cfg.out}.csv/.json")

@@ -272,6 +272,35 @@ class TestEstimateCommand:
         assert len(firsts) == 2
         assert events == [(kind, k) for k in firsts for kind in ("compute", "consume")]
 
+    def test_a_failed_run_leaves_what_it_wrote(self, tmp_path, monkeypatch):
+        """An abort raised in the second chunk ends the run with exit 1; both CSVs keep their
+        header and the first chunk's rows, and no JSON is written."""
+        monkeypatch.setattr(cli, "MAX_CHUNK", 8)
+        argv = ["estimate", "--scenarios", "24", "--seed", "1", "--out", "run",
+                "--trajectories", "traj.csv"]
+        for name in ("full", "failed"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / "full")
+        assert main(argv) == 0
+        calls = []
+        estimate_chunk = cli._estimate_chunk
+
+        def second_chunk_raises(cfg, world, scenarios):
+            calls.append(len(scenarios))
+            if len(calls) == 2:
+                raise NonFiniteState("second chunk")
+            return estimate_chunk(cfg, world, scenarios)
+
+        monkeypatch.setattr(cli, "_estimate_chunk", second_chunk_raises)
+        monkeypatch.chdir(tmp_path / "failed")
+        assert main(argv) == 1
+        assert calls == [8, 8]
+        assert sorted(p.name for p in (tmp_path / "failed").iterdir()) == ["run.csv", "traj.csv"]
+        # Four `#` lines and the header, then 8 rows, or 8 scenarios of 10 steps each.
+        for name, rows in (("run.csv", 8), ("traj.csv", 8 * 10)):
+            want = read(tmp_path / "full" / name).splitlines(keepends=True)[:5 + rows]
+            assert read(tmp_path / "failed" / name).splitlines(keepends=True) == want
+
     def test_timing_flag_adds_nondeterministic_field(self, tmp_path):
         out = str(tmp_path / "timed")
         main(["estimate", "--scenarios", "5", "--seed", "1", "--timing", "--out", out])
@@ -789,7 +818,8 @@ def test_every_field_is_read_and_the_flag_table_matches_the_parser():
 
 
 class TestCsvWriter:
-    """`cli._write_csv` formats rows itself; its bytes must be csv.writer's."""
+    """`cli._csv_file` and `cli._write_csv` format rows themselves; their bytes must be
+    csv.writer's."""
 
     HEADER = ["a", "b", "c", "d", "e", "f", "g"]
     ROWS = [
@@ -804,7 +834,8 @@ class TestCsvWriter:
     def test_bytes_match_csv_writer(self, tmp_path):
         path = tmp_path / "rows.csv"
         meta = cli._metadata(RunConfig(), "estimate")
-        cli._write_csv(str(path), meta, self.HEADER, iter(self.ROWS))
+        with cli._csv_file(str(path), meta, self.HEADER) as write:
+            write(iter(self.ROWS))
         with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.HEADER)
@@ -818,14 +849,18 @@ class TestCsvWriter:
         """No header or string field holds a character csv would quote, so
         writing fields unquoted gives csv's bytes."""
         strings = [*MODES, *(exc.__name__ for exc in (*ABORTS, NonFiniteState))]
-        write = cli._write_csv
+        csv_file, write = cli._csv_file, cli._write_csv
 
-        def spy(path, meta, header, rows):
-            rows = list(rows)
+        def header_spy(path, meta, header):
             strings.extend(header)
-            strings.extend(v for row in rows for v in row if isinstance(v, str))
-            write(path, meta, header, rows)
+            return csv_file(path, meta, header)
 
+        def spy(fh, fmt, rows):
+            rows = list(rows)
+            strings.extend(v for row in rows for v in row if isinstance(v, str))
+            write(fh, fmt, rows)
+
+        monkeypatch.setattr(cli, "_csv_file", header_spy)
         monkeypatch.setattr(cli, "_write_csv", spy)
         out = str(tmp_path / "run")
         assert main(["schedule", "--steps", "5", "--out", out]) == 0
@@ -835,3 +870,63 @@ class TestCsvWriter:
                   "--seed", "2", "--trajectories", out + "_traj.csv", "--out", out])
         assert {"t", "in_frustum", "reason", "r22", "NonFiniteState"} <= set(strings)
         assert all(not set(s) & set(',"\r\n') for s in strings)
+
+    def test_the_writer_computes_no_chunk(self, tmp_path, monkeypatch):
+        """Each chunk runs before the writer is called, and each CSV gets one `_write_csv`
+        call per chunk."""
+        writing, writes = [], []
+        write = cli._write_csv
+
+        def flagged(*args):
+            writing.append(True)
+            writes.append(args[0])
+            try:
+                write(*args)
+            finally:
+                writing.pop()
+
+        def outside_the_writer(chunk):
+            def run(cfg, world, scenarios):
+                assert not writing
+                return chunk(cfg, world, scenarios)
+            return run
+
+        monkeypatch.setattr(cli, "_write_csv", flagged)
+        for name in ("_diffuse_chunk", "_estimate_chunk"):
+            monkeypatch.setattr(cli, name, outside_the_writer(getattr(cli, name)))
+        n = cli.MAX_CHUNK + 8  # two chunks
+        out = str(tmp_path / "run")
+        assert main(["diffuse", "--scenarios", str(n), "--out", out]) == 0
+        assert len(writes) == 2 and len(set(writes)) == 1
+        writes.clear()
+        assert main(["estimate", "--scenarios", str(n), "--out", out,
+                     "--trajectories", out + "_traj.csv"]) == 0
+        assert len(writes) == 4 and len(set(writes)) == 2
+
+
+STRICT_JSON_RUNS = {
+    "estimate": ["estimate", "--scenarios", "5", "--denoiser", "biased:1e300"],
+    "trainsim": ["trainsim", "--scenarios", "20", "--denoiser", "biased:1e300"],
+}
+
+
+@pytest.mark.parametrize("command", STRICT_JSON_RUNS)
+def test_non_finite_summary_values_are_written_as_null(command, tmp_path):
+    """The JSON holds no `Infinity` or `NaN` token; the stdout line keeps `inf`. A child
+    process runs the command, since its loss arithmetic overflows with numpy warnings."""
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "posediff.cli", *STRICT_JSON_RUNS[command], "--out", "run"],
+        cwd=tmp_path, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    summary = json.loads(read(tmp_path / "run.json"), parse_constant=reject)
+    if command == "estimate":
+        assert proc.returncode == 1 and summary["aborted"] == 5
+        assert summary["mean_add"] is None and summary["median_add"] is None
+        assert " mean_add=inf " in proc.stdout
+    else:
+        assert proc.returncode == 0
+        assert summary["max_total"] is None and summary["bins"][0]["p50_total"] is None
+        assert "mean_total=inf " in proc.stdout

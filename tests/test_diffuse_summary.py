@@ -6,7 +6,6 @@ kept in memory, bit for bit, and the run's vectors leave no file behind.
 it returns the summary alone.
 """
 
-import collections
 import json
 
 import numpy as np
@@ -34,9 +33,8 @@ SMALL_CAPS = {name: (7, 64) for name in ("all-many-chunks", "all-few-steps-many-
 
 
 def reference_summary(cfg, world):
-    kept = []
-    collections.deque(cli._stream_rows(cli._run_chunks(
-        cfg, world, cli._diffuse_chunk, len(cfg.parse_timesteps())), kept.append), maxlen=0)
+    kept = [(flags, n) for flags, n, _ in cli._run_chunks(
+        cfg, world, cli._diffuse_chunk, len(cfg.parse_timesteps()))]
     ts = cfg.parse_timesteps()
     inside = np.concatenate([flags for flags, _ in kept])
     # A timestep listed more than once pools its columns, scenario by scenario.

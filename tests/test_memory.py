@@ -1,9 +1,10 @@
 """Peak memory is set by the chunks in flight, not by --scenarios.
 
-`estimate` keeps each scenario's result row for its summary and `trainsim` each draw's
-loss row; `diffuse` keeps each timestep's in-frustum count in memory and its noised vectors
-in a file. Each run is a child process that reports its own peak resident set (`VmHWM`) as
-it exits, so the test process's own allocations do not count.
+`estimate` writes each chunk's rows as the chunk ends and keeps one ADD per scenario for
+its summary; `trainsim` keeps each draw's loss row; `diffuse` keeps each timestep's
+in-frustum count in memory and its noised vectors in a file. Each run is a child process
+that reports its own peak resident set (`VmHWM`) as it exits, so the test process's own
+allocations do not count.
 """
 
 import os
@@ -37,10 +38,18 @@ def peak_mb(argv, folder):
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
 @pytest.mark.parametrize("command", ["estimate", "trainsim"])
 def test_peak_memory_does_not_grow_with_scenarios(command, tmp_path):
-    # The run draws each chunk's scenarios where it runs; only estimate's per-scenario
-    # results (about 200 B each) are kept for the whole run.
+    # The run draws each chunk's scenarios where it runs; only estimate's per-scenario ADDs
+    # and trainsim's loss rows are kept for the whole run.
     small, large = (peak_mb([command, "--scenarios", str(n)], tmp_path) for n in (2000, 20000))
     assert large - small < 10, (small, large)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
+def test_estimate_keeps_one_add_per_scenario(tmp_path):
+    # Each chunk's rows go to the CSV as the chunk ends; the summary keeps a float (about
+    # 32 B) per scenario, 0.6 MB more at 20,000 scenarios than at 2,000.
+    small, large = (peak_mb(["estimate", "--scenarios", str(n)], tmp_path) for n in (2000, 20000))
+    assert large - small < 2, (small, large)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")

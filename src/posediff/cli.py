@@ -24,6 +24,7 @@ import argparse
 import collections
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -58,7 +59,7 @@ from .metrics import (
     make_observation,
     scenario_rng,
 )
-from .mononorm import NormalizedPose, NormConfig, denormalize, normalize
+from .mononorm import NormConfig, normalize
 from .reverse import (
     INIT_MODES,
     MODES,
@@ -69,7 +70,7 @@ from .reverse import (
     sigma_squared,
 )
 from .robot_chain import ChainSpec, JointConfig, forward_kinematics, sample_points
-from .se3_camera import in_frustum
+from .se3_camera import in_view
 
 RNG_SCHEME = "numpy default_rng seeded with [seed, scenario_index, stream]"
 
@@ -111,15 +112,11 @@ def _field(default, commands: tuple, help: str, *checks: tuple, choices=None, un
 
     Only `commands` register its flag, typed as `default` (str for None), and read it, unless
     one of its `unread` `(predicate(cfg, command), message)` pairs holds. For a run that reads it,
-    `validate` checks a float is finite, then `choices`, then each
-    `(predicate(value, cfg), message)`, which follows the fields it reads. Messages take the
-    config's fields."""
+    `validate` checks `choices`, then each `(predicate(value, cfg), message)`, which follows
+    the fields it reads. Messages take the config's fields."""
     kind = str if default is None else type(default)
     if choices:
         checks = ((lambda v, c: v in choices, f"must be one of {choices}"), *checks)
-    if kind is float:
-        # A config file's int may lie past float range, where math.isfinite raises.
-        checks = ((lambda v, c: abs(v) <= sys.float_info.max, "must be finite"), *checks)
     flag = {"default": None, "help": f"{help} (default: {default})"}
     flag.update({"action": argparse.BooleanOptionalAction} if kind is bool
                 else {"type": kind, "choices": choices})
@@ -332,8 +329,9 @@ def _percentile(ordered: np.ndarray, q: float) -> float:
     lo = math.floor(i)
     a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
     gamma = i - lo
-    diff = b - a
-    return float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a NaN percentile
+        diff = b - a
+        return float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
 
 
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:
@@ -417,16 +415,11 @@ def _diffuse_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
     t = np.tile(ts, len(scenarios))
     K = batch.intrinsics[rows]
     n = diffuse_normalized(n0[rows], t, sched, scales, eps, box if cfg.clamp else None)
-    # Rows behind the camera or with a degenerate rotation are recorded in `reasons`
-    # instead of raising. in_frustum reads only the translation, so only the rows
-    # behind the camera always count as outside.
-    reasons = np.full(len(n), "", dtype=object)
-    with np.errstate(all="ignore"):
-        pose = denormalize(NormalizedPose.from_vector(n), K, norm, reasons)
-    inside = in_frustum(pose, K, cfg.margin, (norm.z_min, norm.z_max))
-    behind = pose.t[:, 2] <= 0
-    u = np.where(behind, np.nan, K.w * n[:, 6] + K.cx)
-    v = np.where(behind, np.nan, K.h * n[:, 7] + K.cy)
+    # The flag tests the row's own pixel and depth; a row behind the camera has no pixel.
+    z = n[:, 8] + norm.c_z
+    u = np.where(z <= 0, np.nan, K.w * n[:, 6] + K.cx)
+    v = np.where(z <= 0, np.nan, K.h * n[:, 7] + K.cy)
+    inside = in_view(u, v, z, K, cfg.margin, (norm.z_min, norm.z_max))
     index = batch.index[rows]
     # Columns of Python values, which print as the numpy values do, only faster; made one
     # scenario's T rows at a time, so that the chunk's rows never all exist as objects.
@@ -464,30 +457,29 @@ def cmd_diffuse(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
         # summary holds about MAX_BATCH_ROWS vectors and a run of many small chunks does not
         # make one read per chunk and timestep.
         per_read = max(1, MAX_BATCH_ROWS // cfg.scenarios)
-        block, first = np.empty((0, cfg.scenarios, 9)), 0
 
-        def column(j: int) -> np.ndarray:
-            """Timestep j's (S, 9) vectors of every chunk, in scenario order."""
-            nonlocal block, first
-            if not first <= j < first + len(block):
-                block, first = np.empty((min(per_read, len(ts) - j), cfg.scenarios, 9)), j
-                offset = start = 0
-                for size in sizes:
-                    piece = np.empty((len(block), size, 9))
-                    fh.seek(offset + j * size * 72)
-                    fh.readinto(piece)
-                    block[:, start:start + size] = piece
-                    offset += len(ts) * size * 72
-                    start += size
-            return block[j - first]
+        @functools.lru_cache(maxsize=1)
+        def block(b: int) -> np.ndarray:
+            """Block b: the (<= per_read, S, 9) vectors from timestep b * per_read on."""
+            first = b * per_read
+            out = np.empty((min(per_read, len(ts) - first), cfg.scenarios, 9))
+            # A chunk of `size` scenarios starting at scenario `start` holds (T, size, 9)
+            # vectors from byte 72 * T * start on.
+            for start, size in zip(itertools.accumulate(sizes, initial=0), sizes):
+                fh.seek(72 * (len(ts) * start + first * size))
+                piece = np.fromfile(fh, count=len(out) * size * 9)
+                out[:, start:start + size] = piece.reshape(len(out), size, 9)
+            return out
 
-        # A timestep listed more than once pools its columns, scenario by scenario.
+        # A timestep listed more than once pools its columns, scenario by scenario; timestep
+        # j's (S, 9) column is row j % per_read of block j // per_read.
         columns = {}
         for j, t in enumerate(ts):
             columns.setdefault(t, []).append(j)
         summary_t = {}
         for t, cols in columns.items():
-            pooled = np.stack([column(j) for j in cols], axis=1).reshape(-1, 9)
+            pooled = np.stack([block(j // per_read)[j % per_read] for j in cols], axis=1)
+            pooled = pooled.reshape(-1, 9)
             summary_t[str(t)] = {
                 "in_frustum_rate": int(counts[cols].sum()) / (cfg.scenarios * len(cols)),
                 "component_mean": pooled.mean(axis=0).tolist(),
@@ -605,22 +597,23 @@ def cmd_estimate(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
 
 
 def _trainsim_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> np.ndarray:
-    """(t, loss_xy, loss_rot, loss_z, total) rows of a chunk, scenario by scenario,
-    then draw by draw; each draw is one batch over the chunk. Each generator
-    is drawn as in a scenario run alone: per draw, the timestep, the forward
-    noise and its redraws, then the oracle's noise."""
+    """(t, loss_xy, loss_rot, loss_z, total) rows of a chunk, scenario by scenario, then draw by
+    draw; each draw is one batch over the chunk. Each generator is drawn as in a scenario run
+    alone: per draw, the timestep, the forward noise and its redraws, then the oracle's noise.
+    An overflowing loss is inf, unwarned: np.errstate holds per thread, so it is set here."""
     sched, norm, scales, box, chain, oracle = world
     obs = Observation.stack(scenarios)
     rngs = [scenario_rng(cfg.seed, sc.index, STREAM_TRAINSIM) for sc in scenarios]
     points = sample_points(chain, obs.joints, cfg.per_link)
     draws = []
-    for _ in range(cfg.draws):
-        t = np.array([sample_timestep(sched, rng) for rng in rngs])
-        pose_t = diffuse(
-            obs.gt_pose, t, sched, scales, box, obs.intrinsics, norm, rngs, clamp=cfg.clamp
-        )
-        pred = oracle.predict(pose_t, t, obs, rngs)
-        draws.append((t, *decomposed_loss(obs.gt_pose, pose_t, pred, points, obs.intrinsics)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.draws):
+            t = np.array([sample_timestep(sched, rng) for rng in rngs])
+            pose_t = diffuse(
+                obs.gt_pose, t, sched, scales, box, obs.intrinsics, norm, rngs, clamp=cfg.clamp
+            )
+            pred = oracle.predict(pose_t, t, obs, rngs)
+            draws.append((t, *decomposed_loss(obs.gt_pose, pose_t, pred, points, obs.intrinsics)))
     return np.array(draws, dtype=float).transpose(2, 0, 1).reshape(-1, 5)
 
 
@@ -685,8 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the --config file, then the flags given. After the value checks, a
-    flag for a field that the run does not read is rejected; a file may set any field."""
+    """Defaults, then the --config file, then the flags given. Every float, read or not, must
+    be finite, so that the strict-JSON metadata reloads as a config. After the value checks, a
+    flag for a field that the run does not read is rejected; a file may set any such field."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values = {}
     if args.config:
@@ -703,6 +697,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 raise InvalidConfig(f"{name}: expected {f.type}, got {json.dumps(value)}")
     flags = [f for f in fields.values() if getattr(args, f.name, None) is not None]
     values.update((f.name, getattr(args, f.name)) for f in flags)
+    for name, value in values.items():
+        # A config file's int may lie past float range, where math.isfinite raises.
+        if type(fields[name].default) is float and not abs(value) <= sys.float_info.max:
+            raise InvalidConfig(f"{name}: must be finite")
     cfg = RunConfig(**values).validate(args.command)
     for f in flags:
         why = _unread(cfg, f, args.command)

@@ -173,20 +173,21 @@ def in_frustum(
     margin: float = 0.05,
     z_range: tuple[float, float] = (0.3, 3.0),
 ) -> np.ndarray:
-    """True iff the pose's translation projects inside the margin-shrunk image
-    and its depth lies in `z_range`; a batch of poses gives one flag per row,
-    a single pose a numpy bool scalar.
-
-    Boundary comparisons carry a small tolerance so values clamped exactly to
-    the frustum boundary count as inside. A pose behind the camera is False,
-    never an error.
-    """
+    """`in_view` of the pose's projected translation: a flag per row of a batch, a numpy
+    bool scalar for a single pose. A pose behind the camera is False, never an error."""
     x, y, z = pose.t.T
-    z_min, z_max = z_range
     with np.errstate(divide="ignore", invalid="ignore"):
         u = intrinsics.f * (x / z) + intrinsics.cx
         v = intrinsics.f * (y / z) + intrinsics.cy
-    inside = (
+    return in_view(u, v, z, intrinsics, margin, z_range)
+
+
+def in_view(u, v, z, intrinsics: CameraIntrinsics, margin: float,
+            z_range: tuple[float, float]) -> np.ndarray:
+    """True iff pixel (u, v) lies in the margin-shrunk image and depth z > 0 in `z_range`,
+    each within FRUSTUM_TOL, so values clamped onto a bound count as inside; NaN is outside."""
+    z_min, z_max = z_range
+    return (
         (z > 0)
         & (z_min - FRUSTUM_TOL <= z) & (z <= z_max + FRUSTUM_TOL)
         & (margin * intrinsics.w - FRUSTUM_TOL <= u)
@@ -194,4 +195,3 @@ def in_frustum(
         & (margin * intrinsics.h - FRUSTUM_TOL <= v)
         & (v <= (1.0 - margin) * intrinsics.h + FRUSTUM_TOL)
     )
-    return inside

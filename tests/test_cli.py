@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from posediff import ChainSpec, FrustumBox, NormConfig, Pose, auc, generate_scenarios, in_frustum
-from posediff import cli
+from posediff import cli, mononorm
 from posediff.cli import RunConfig, main
 from posediff.errors import ABORTS, InvalidConfig, NonFiniteState
 from posediff.metrics import AUC_GRID
@@ -755,9 +755,10 @@ def test_a_config_file_field_the_run_does_not_read_is_not_built(command, values,
 
 
 def test_modes_other_than_ddim_do_not_read_eta(tmp_path):
-    """A config file's eta reaches only ddim, so tracking with an infinite one still runs."""
+    """A config file's eta reaches only ddim, so tracking with one whose square overflows, which
+    ddim rejects, still runs."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"eta": float("inf"), "sigma_form": "standard"}))
+    path.write_text(json.dumps({"eta": 1e300, "sigma_form": "standard"}))
     outs = [str(tmp_path / "plain"), str(tmp_path / "file")]
     for mode in ("tracking", "direct"):
         base = ["estimate", "--mode", mode, "--scenarios", "4", "--denoiser", "noisy:0.1"]
@@ -771,13 +772,12 @@ def test_modes_other_than_ddim_do_not_read_eta(tmp_path):
     (["schedule", "--eta", "0"], {"sigma_form": "bogus"}),
     (["estimate", "--denoiser", "noisy:0"], {"competence": -1.0}),
     (["trainsim", "--denoiser", "noisy:0"], {"competence": -1.0}),
-    (["estimate"], {"competence": 10**400}),
-], ids=["ddim-eta-0", "schedule-eta-0", "estimate-noisy-0", "trainsim-noisy-0",
-        "perfect-past-float-range"])
+    (["estimate"], {"competence": -1.0}),
+], ids=["ddim-eta-0", "schedule-eta-0", "estimate-noisy-0", "trainsim-noisy-0", "perfect"])
 def test_a_config_file_field_unread_at_eta_0_or_noisy_0_is_not_checked(argv, values, tmp_path):
     """At eta = 0 no sigma form is read, and noisy:0 (like perfect) reads no competence, so a
-    config file may set either to a value that a run reading it rejects, even an integer past
-    float range; the data stay the same."""
+    config file may set either to a finite value that a run reading it rejects; the data stay
+    the same."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(values))
     scenarios = [] if argv[0] == "schedule" else ["--scenarios", "4"]  # schedule draws none
@@ -930,3 +930,73 @@ def test_non_finite_summary_values_are_written_as_null(command, tmp_path):
         assert proc.returncode == 0
         assert summary["max_total"] is None and summary["bins"][0]["p50_total"] is None
         assert "mean_total=inf " in proc.stdout
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("denoiser", ["biased:1e300", "noisy:1e300"])
+def test_trainsim_overflow_is_recorded_without_a_warning(denoiser, workers, tmp_path):
+    """An overflowing loss is inf (null in the JSON) and stderr stays empty, on the main thread
+    and on pool threads. A child process runs the command, since the suite turns numpy's
+    RuntimeWarning into an error."""
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    argv = ["trainsim", "--scenarios", "20", "--denoiser", denoiser, "--workers", workers]
+    proc = subprocess.run(
+        [sys.executable, "-m", "posediff.cli", *argv, "--out", "run"],
+        cwd=tmp_path, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(read(tmp_path / "run.json"), parse_constant=reject)["max_total"] is None
+
+
+RELOAD_RUNS = {
+    "estimate": ["estimate", "--scenarios", "6", "--mode", "tracking", "--denoiser", "noisy:0.2"],
+    "diffuse": ["diffuse", "--scenarios", "6", "--no-clamp", "--timesteps", "1,100"],
+    "trainsim": ["trainsim", "--scenarios", "6", "--draws", "2"],
+    "schedule": ["schedule", "--eta", "0.5", "--sigma-form", "standard"],
+}
+
+
+@pytest.mark.parametrize("command", RELOAD_RUNS)
+def test_recorded_config_reproduces_the_run(command, tmp_path):
+    """A run given its own recorded config (the JSON's metadata; the CSV's `# config=` line
+    for schedule, which writes no JSON) writes the same data."""
+    outs = [str(tmp_path / "first"), str(tmp_path / "second")]
+    assert main([*RELOAD_RUNS[command], "--out", outs[0]]) == 0
+    if command == "schedule":
+        line = next(l for l in read(outs[0] + ".csv").decode().splitlines()
+                    if l.startswith("# config="))
+        config = json.loads(line.removeprefix("# config="))
+    else:
+        config = json.loads(read(outs[0] + ".json"))["metadata"]["config"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", outs[1]]) == 0
+    if command != "trainsim":
+        assert data_rows(outs[0] + ".csv") == data_rows(outs[1] + ".csv")
+    if command != "schedule":
+        first, second = (json.loads(read(out + ".json")) for out in outs)
+        assert first.pop("metadata")["config"] == {**second.pop("metadata")["config"],
+                                                   "out": outs[0]}
+        assert first == second
+
+
+def test_the_diffuse_chunk_recovers_no_pose(monkeypatch):
+    """The chunk's flags, vectors and rows come from its noised vectors alone: with
+    Gram-Schmidt raising, an unclamped chunk returns what it returns without."""
+    cfg = RunConfig(clamp=False, timesteps="all", seed=5, scenarios=40).validate("diffuse")
+    world = cli._build_world(cfg, "diffuse")
+    scen = generate_scenarios(cfg.seed, cfg.scenarios, world[3], world[4], world[1]).scenarios
+    flags, n, rows = cli._diffuse_chunk(cfg, world, scen)
+    rows = list(rows)
+    assert 0 < flags.sum() < flags.size and any(np.isnan(r[6]) for r in rows)
+
+    def orthogonalize(*args, **kwargs):
+        raise AssertionError("the diffuse chunk orthogonalized a rotation")
+
+    monkeypatch.setattr(mononorm, "gram_schmidt_6d", orthogonalize)
+    got_flags, got_n, got_rows = cli._diffuse_chunk(cfg, world, scen)
+    np.testing.assert_array_equal(got_flags, flags)
+    np.testing.assert_array_equal(got_n, n)
+    assert repr(list(got_rows)) == repr(rows)  # NaN pixels compare by their spelling

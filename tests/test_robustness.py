@@ -159,6 +159,24 @@ def test_config_file_int_past_float_range_exits_2_with_one_line(field, tmp_path,
     assert not list(tmp_path.glob("run*"))
 
 
+@pytest.mark.parametrize("argv, text, field", [
+    (["estimate", "--mode", "tracking", "--scenarios", "2"], '{"eta": Infinity}', "eta"),
+    (["estimate", "--scenarios", "2"], f'{{"competence": {HUGE_INT}}}', "competence"),
+    (["diffuse", "--scenarios", "2"], '{"competence": -Infinity}', "competence"),
+    (["schedule"], '{"gamma": NaN}', "gamma"),
+], ids=["tracking-eta-inf", "perfect-competence-past-float-range", "diffuse-competence-inf",
+        "schedule-gamma-nan"])
+def test_non_finite_float_exits_2_where_the_run_does_not_read_it(argv, text, field, tmp_path,
+                                                                  capsys):
+    """The JSON metadata spells no Infinity or NaN, so a run that accepted one would record a
+    config that does not reload: a float field must be finite whether the run reads it or not."""
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main([*argv, "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {field}: must be finite\n"
+    assert not list(tmp_path.glob("run*"))
+
+
 @pytest.mark.parametrize("command", ["estimate", "diffuse", "trainsim"])
 @pytest.mark.parametrize("flags", DEPTH_LOST, ids=DEPTH_LOST_IDS)
 def test_depth_range_lost_to_float_arithmetic_exits_2(command, flags, tmp_path, capsys):

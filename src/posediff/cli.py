@@ -24,7 +24,6 @@ import argparse
 import collections
 import contextlib
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -81,7 +80,7 @@ MIN_CHUNK = 8
 # Most scenarios per chunk, and most batch rows per chunk (a `diffuse` scenario is one row
 # per timestep, every other subcommand's one row), so that each worker holds one chunk's
 # scenarios and batch arrays, whatever --scenarios is. `diffuse` keeps per-timestep counts
-# in memory and its noised vectors on disk; what still grows with --scenarios is
+# and sums in memory and its noised vectors on disk; what still grows with --scenarios is
 # `estimate`'s ADD per scenario and `trainsim`'s loss rows.
 MAX_CHUNK = 256
 MAX_BATCH_ROWS = 4096
@@ -436,57 +435,55 @@ def cmd_diffuse(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     import tempfile  # only here, so that no other subcommand loads it
 
     ts = cfg.parse_timesteps()
-    # The summary keeps each timestep's in-frustum count in memory, and each chunk's (S_c,
-    # T, 9) noised vectors, timestep-major, in an unlinked file in the output directory,
-    # which `_writable` checked: 72 B (nine float64s) per sample of disk while the run
-    # lasts, and nothing left behind if it dies. A timestep's vectors are read back with
-    # positioned reads, not mapped, since mapped pages count toward the peak memory.
-    counts = np.zeros(len(ts), dtype=np.int64)
-    sizes = []  # each chunk's scenario count, in file order
+    # Each chunk's (S_c, T, 9) noised vectors go, as they are, to an unlinked file in the
+    # output directory, which `_writable` checked: 72 B (nine float64s) per sample of disk
+    # while the run lasts, and nothing left behind if it dies. The summary reads that (S, T,
+    # 9) array back in order twice, MAX_BATCH_ROWS vectors at a time, and keeps only each
+    # timestep's in-frustum count and component sums.
+    slot = {}  # each distinct timestep's row of the counts and sums, in first-listed order
+    rows = np.array([slot.setdefault(t, len(slot)) for t in ts])
+    hits = np.zeros(len(slot), dtype=np.int64)
     folder = os.path.dirname(os.path.abspath(cfg.out + ".csv"))
     header = ["scenario", "t", "in_frustum", "tx_n", "ty_n", "tz_n", "u", "v"]
     with tempfile.TemporaryFile(dir=folder) as fh:
         with _csv_file(cfg.out + ".csv", meta, header) as write:
-            for flags, n, rows in _run_chunks(cfg, world, _diffuse_chunk, len(ts)):
-                write(rows)
-                np.add(counts, flags.sum(axis=0), out=counts)
-                fh.write(n.transpose(1, 0, 2).tobytes())
-                sizes.append(len(n))
+            for flags, n, csv_rows in _run_chunks(cfg, world, _diffuse_chunk, len(ts)):
+                write(csv_rows)
+                np.add.at(hits, rows, flags.sum(axis=0))
+                fh.write(n.tobytes())
+        fh.flush()
 
-        # Each read takes one chunk's piece of `per_read` consecutive timesteps, so that the
-        # summary holds about MAX_BATCH_ROWS vectors and a run of many small chunks does not
-        # make one read per chunk and timestep.
-        per_read = max(1, MAX_BATCH_ROWS // cfg.scenarios)
+        # A timestep listed m times pools its m columns, scenario by scenario, and numpy's
+        # mean and std over that (S * m, 9) array add one vector at a time in that order.
+        # So does `np.add.at`, in index order, into the (distinct timestep, 9) sums.
+        def read(at: int) -> tuple:
+            """The vectors from byte `at` on, flat, and each value's entry of the flat sums."""
+            x = np.frombuffer(os.pread(fh.fileno(), 72 * MAX_BATCH_ROWS, at))
+            columns = np.arange(at // 72, at // 72 + len(x) // 9) % len(ts)
+            return x, (9 * rows[columns, None] + np.arange(9)).ravel()
 
-        @functools.lru_cache(maxsize=1)
-        def block(b: int) -> np.ndarray:
-            """Block b: the (<= per_read, S, 9) vectors from timestep b * per_read on."""
-            first = b * per_read
-            out = np.empty((min(per_read, len(ts) - first), cfg.scenarios, 9))
-            # A chunk of `size` scenarios starting at scenario `start` holds (T, size, 9)
-            # vectors from byte 72 * T * start on.
-            for start, size in zip(itertools.accumulate(sizes, initial=0), sizes):
-                fh.seek(72 * (len(ts) * start + first * size))
-                piece = np.fromfile(fh, count=len(out) * size * 9)
-                out[:, start:start + size] = piece.reshape(len(out), size, 9)
-            return out
-
-        # A timestep listed more than once pools its columns, scenario by scenario; timestep
-        # j's (S, 9) column is row j % per_read of block j // per_read.
-        columns = {}
-        for j, t in enumerate(ts):
-            columns.setdefault(t, []).append(j)
-        summary_t = {}
-        for t, cols in columns.items():
-            pooled = np.stack([block(j // per_read)[j % per_read] for j in cols], axis=1)
-            pooled = pooled.reshape(-1, 9)
-            summary_t[str(t)] = {
-                "in_frustum_rate": int(counts[cols].sum()) / (cfg.scenarios * len(cols)),
-                "component_mean": pooled.mean(axis=0).tolist(),
-                "component_std": pooled.std(axis=0).tolist(),
-            }
+        reads = range(0, 72 * len(ts) * cfg.scenarios, 72 * MAX_BATCH_ROWS)
+        sums, squares = np.zeros((len(slot), 9)), np.zeros((len(slot), 9))
+        for x, cells in map(read, reads):
+            np.add.at(sums.reshape(-1), cells, x)
+        pool = cfg.scenarios * np.bincount(rows)  # each distinct timestep's pooled vectors
+        # In place, as are the stds: with many timesteps, a (distinct timestep, 9) array
+        # is as large as a chunk's vectors.
+        mean = np.divide(sums, pool[:, None], out=sums)
+        for x, cells in map(read, reads):
+            x = x - mean.reshape(-1)[cells]
+            np.square(x, out=x)
+            np.add.at(squares.reshape(-1), cells, x)
+    std = np.sqrt(np.divide(squares, pool[:, None], out=squares), out=squares)
+    summary_t = {}
+    for t, u in slot.items():
+        summary_t[str(t)] = {
+            "in_frustum_rate": int(hits[u]) / int(pool[u]),
+            "component_mean": mean[u].tolist(),
+            "component_std": std[u].tolist(),
+        }
     samples = cfg.scenarios * len(ts)
-    rate = int(counts.sum()) / samples
+    rate = int(hits.sum()) / samples
     summary = {"in_frustum_rate": rate, "per_timestep": summary_t}
     return summary, (f"diffuse: in_frustum_rate={rate:.6f} over {samples} samples "
                      f"-> {cfg.out}.csv/.json")

@@ -50,8 +50,7 @@ class ChainSpec:
     joint_axes: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        axes = _default_axes(self.n_joints) if self.joint_axes is None else self.joint_axes
-        object.__setattr__(self, "joint_axes", tuple(tuple(ax) for ax in axes))
+        # The counts are checked before the default axes are built, n_joints of them.
         object.__setattr__(self, "link_lengths", tuple(self.link_lengths))
         if self.n_joints < 1:
             raise ValueError(f"a chain needs n_joints >= 1, got {self.n_joints}")
@@ -59,6 +58,8 @@ class ChainSpec:
             raise ValueError(
                 f"expected {self.n_joints} link lengths, got {len(self.link_lengths)}"
             )
+        axes = _default_axes(self.n_joints) if self.joint_axes is None else self.joint_axes
+        object.__setattr__(self, "joint_axes", tuple(tuple(ax) for ax in axes))
         if len(self.joint_axes) != self.n_joints:
             raise ValueError(
                 f"expected {self.n_joints} joint axes, got {len(self.joint_axes)}"

@@ -667,6 +667,30 @@ def test_steps_past_memory_exits_2_with_one_line_and_no_file(tmp_path):
     assert proc.stdout == "" and not list(tmp_path.iterdir())
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux")
+def test_huge_chain_joint_count_exits_2_with_one_line_and_no_file(tmp_path):
+    """A chain file whose n_joints disagrees with its link lengths is rejected before anything
+    n_joints long is built: under a 1.5 GiB address space, a billion default joint axes
+    would end in a MemoryError."""
+    code = (
+        "import resource, sys\n"
+        "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 1536 * 2**20 if hard == resource.RLIM_INFINITY else min(hard, 1536 * 2**20)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from posediff.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    (tmp_path / "chain.json").write_text('{"n_joints": 1000000000}')
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "diffuse", "--scenarios", "2", "--chain", "chain.json",
+         "--out", "run"],
+        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: chain: expected 1000000000 link lengths, got 7\n"
+    assert proc.stdout == "" and [p.name for p in tmp_path.iterdir()] == ["chain.json"]
+
+
 # One run of each subcommand; the biased oracle aborts some of estimate's rows.
 SHARED_PATH_RUNS = {
     "schedule": ["schedule", "--steps", "20", "--eta", "0.5"],

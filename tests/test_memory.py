@@ -2,7 +2,8 @@
 
 `estimate` writes each chunk's rows as the chunk ends and keeps one ADD per scenario for
 its summary; `trainsim` keeps each draw's loss row; `diffuse` keeps each timestep's
-in-frustum count in memory and its noised vectors in a file. Each run is a child process
+in-frustum count and sums in memory, writes its noised vectors to a file in scenario order
+and reads them back in order, a fixed amount at a time. Each run is a child process
 that reports its own peak resident set (`VmHWM`) as it exits, so the test process's own
 allocations do not count.
 """
@@ -53,9 +54,12 @@ def test_estimate_keeps_one_add_per_scenario(tmp_path):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
-def test_diffuse_peak_memory_does_not_grow_with_scenarios(tmp_path):
-    # 100 timesteps per scenario, whose vectors go to a file; the summary reads them back
-    # about MAX_BATCH_ROWS at a time, and pools one timestep's (72 B per scenario).
-    small, large = (peak_mb(["diffuse", "--timesteps", "all", "--scenarios", str(n)], tmp_path)
-                    for n in (200, 2000))
+@pytest.mark.parametrize("timesteps, counts", [("all", (200, 2000)), ("1,50", (2000, 40000))],
+                         ids=["all", "1,50"])
+def test_diffuse_peak_memory_does_not_grow_with_scenarios(timesteps, counts, tmp_path):
+    # The vectors go to a file, which the summary reads back twice in scenario order,
+    # MAX_BATCH_ROWS vectors at a time; it keeps each timestep's count and sums, so neither
+    # many timesteps nor many scenarios of few timesteps add memory.
+    small, large = (peak_mb(["diffuse", "--timesteps", timesteps, "--scenarios", str(n)], tmp_path)
+                    for n in counts)
     assert large - small < 3, (small, large)

@@ -437,50 +437,46 @@ def cmd_diffuse(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     ts = cfg.parse_timesteps()
     # Each chunk's (S_c, T, 9) noised vectors go, as they are, to an unlinked file in the
     # output directory, which `_writable` checked: 72 B (nine float64s) per sample of disk
-    # while the run lasts, and nothing left behind if it dies. The summary reads that (S, T,
-    # 9) array back in order twice, MAX_BATCH_ROWS vectors at a time, and keeps only each
-    # timestep's in-frustum count and component sums.
+    # while the run lasts, and nothing left behind if it dies. The summary keeps only each
+    # timestep's in-frustum count and component sums: the vectors' as each chunk arrives,
+    # then the squared deviations' as it reads the file back in order, MAX_BATCH_ROWS
+    # vectors at a time.
     slot = {}  # each distinct timestep's row of the counts and sums, in first-listed order
-    rows = np.array([slot.setdefault(t, len(slot)) for t in ts])
+    slot_of = np.array([slot.setdefault(t, len(slot)) for t in ts])
     hits = np.zeros(len(slot), dtype=np.int64)
+    sums, squares = np.zeros((len(slot), 9)), np.zeros((len(slot), 9))
+    # A timestep listed m times pools its m columns, scenario by scenario, and numpy's mean
+    # and std over that (S * m, 9) array add one vector at a time in that order. So does
+    # `np.add.at`, in index order, into a timestep's row of the sums.
     folder = os.path.dirname(os.path.abspath(cfg.out + ".csv"))
     header = ["scenario", "t", "in_frustum", "tx_n", "ty_n", "tz_n", "u", "v"]
     with tempfile.TemporaryFile(dir=folder) as fh:
         with _csv_file(cfg.out + ".csv", meta, header) as write:
-            for flags, n, csv_rows in _run_chunks(cfg, world, _diffuse_chunk, len(ts)):
-                write(csv_rows)
-                np.add.at(hits, rows, flags.sum(axis=0))
+            for flags, n, rows in _run_chunks(cfg, world, _diffuse_chunk, len(ts)):
+                write(rows)
+                np.add.at(hits, slot_of, flags.sum(axis=0))
+                np.add.at(sums, np.tile(slot_of, len(n)), n.reshape(-1, 9))
                 fh.write(n.tobytes())
-        fh.flush()
-
-        # A timestep listed m times pools its m columns, scenario by scenario, and numpy's
-        # mean and std over that (S * m, 9) array add one vector at a time in that order.
-        # So does `np.add.at`, in index order, into the (distinct timestep, 9) sums.
-        def read(at: int) -> tuple:
-            """The vectors from byte `at` on, flat, and each value's entry of the flat sums."""
-            x = np.frombuffer(os.pread(fh.fileno(), 72 * MAX_BATCH_ROWS, at))
-            columns = np.arange(at // 72, at // 72 + len(x) // 9) % len(ts)
-            return x, (9 * rows[columns, None] + np.arange(9)).ravel()
-
-        reads = range(0, 72 * len(ts) * cfg.scenarios, 72 * MAX_BATCH_ROWS)
-        sums, squares = np.zeros((len(slot), 9)), np.zeros((len(slot), 9))
-        for x, cells in map(read, reads):
-            np.add.at(sums.reshape(-1), cells, x)
-        pool = cfg.scenarios * np.bincount(rows)  # each distinct timestep's pooled vectors
+        pool = cfg.scenarios * np.bincount(slot_of)  # each distinct timestep's pooled vectors
         # In place, as are the stds: with many timesteps, a (distinct timestep, 9) array
         # is as large as a chunk's vectors.
         mean = np.divide(sums, pool[:, None], out=sums)
-        for x, cells in map(read, reads):
-            x = x - mean.reshape(-1)[cells]
+        fh.seek(0)
+        for first in range(0, len(ts) * cfg.scenarios, MAX_BATCH_ROWS):
+            x = np.fromfile(fh, count=9 * MAX_BATCH_ROWS).reshape(-1, 9)
+            slots = slot_of[np.arange(first, first + len(x)) % len(ts)]
+            x -= mean[slots]
             np.square(x, out=x)
-            np.add.at(squares.reshape(-1), cells, x)
+            np.add.at(squares, slots, x)
     std = np.sqrt(np.divide(squares, pool[:, None], out=squares), out=squares)
+    mean, std = mean.tolist(), std.tolist()
+    del sums, squares  # so that the arrays are freed before the summary's dicts are allocated
     summary_t = {}
     for t, u in slot.items():
         summary_t[str(t)] = {
             "in_frustum_rate": int(hits[u]) / int(pool[u]),
-            "component_mean": mean[u].tolist(),
-            "component_std": std[u].tolist(),
+            "component_mean": mean[u],
+            "component_std": std[u],
         }
     samples = cfg.scenarios * len(ts)
     rate = int(hits.sum()) / samples

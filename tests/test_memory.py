@@ -57,7 +57,7 @@ def test_estimate_keeps_one_add_per_scenario(tmp_path):
 @pytest.mark.parametrize("timesteps, counts", [("all", (200, 2000)), ("1,50", (2000, 40000))],
                          ids=["all", "1,50"])
 def test_diffuse_peak_memory_does_not_grow_with_scenarios(timesteps, counts, tmp_path):
-    # The vectors go to a file, which the summary reads back twice in scenario order,
+    # The vectors go to a file, which the summary reads back once in scenario order,
     # MAX_BATCH_ROWS vectors at a time; it keeps each timestep's count and sums, so neither
     # many timesteps nor many scenarios of few timesteps add memory.
     small, large = (peak_mb(["diffuse", "--timesteps", timesteps, "--scenarios", str(n)], tmp_path)

@@ -5,7 +5,7 @@ The subcommands are schedule, diffuse, estimate and trainsim; the docstring of e
 for schedule) and its stdout line; `main` writes the summary under the run's metadata,
 prints the line and chooses the exit code. Every output starts from a RunConfig (defaults ->
 optional JSON config file -> command-line flags) and embeds a metadata block (full
-config, seed, package version, RNG scheme) sufficient to reproduce the run. Each
+config, seed, package and numpy versions, RNG scheme) sufficient to reproduce the run. Each
 RunConfig field is declared once, with the subcommands that read it: only they register
 its flag and check its value, and a flag that the run's mode or denoiser does not read
 is rejected. Outputs are byte-identical for identical configs, including under --workers
@@ -203,7 +203,7 @@ class RunConfig:
          "{trajectories!r} is also an --out file"))
     workers: int = _field(1, SCENE, "threads, each running a chunk of scenarios", AT_LEAST_1,
                           (lambda v, c: v <= MAX_WORKERS, f"must be <= {MAX_WORKERS}"))
-    timing: bool = _field(False, ("estimate",), "put wall-clock times in the JSON (varies by run)")
+    timing: bool = _field(False, ("estimate",), "put wall-clock times in the JSON and stdout")
 
     def validate(self, command: str | None = None) -> "RunConfig":
         """Check as declared each field that `command` reads (each field, without one); `main`
@@ -279,6 +279,7 @@ def _metadata(cfg: RunConfig, command: str) -> dict:
         "config": dataclasses.asdict(cfg),
         "seed": cfg.seed,
         "version": __version__,
+        "numpy": np.__version__,
         "rng_scheme": RNG_SCHEME,
     }
 
@@ -314,8 +315,14 @@ def _strict(value):
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Write `payload` as strict JSON; only one with a non-finite float is copied by `_strict`."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+        try:
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:
+            fh.seek(0)
+            fh.truncate()
+            json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -584,9 +591,10 @@ def cmd_estimate(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     if cfg.timing:
         summary["runtime_seconds"] = elapsed
         summary["scenarios_per_second"] = cfg.scenarios / elapsed if elapsed > 0 else None
+    timing = f" ({elapsed:.2f}s)" if cfg.timing else ""
     return summary, (f"estimate[{cfg.mode}/{cfg.denoiser}]: AUC={summary['auc']:.3f} "
-                     f"mean_add={summary['mean_add']:.3e} aborted={aborted} "
-                     f"({elapsed:.2f}s) -> {cfg.out}.csv/.json")
+                     f"mean_add={summary['mean_add']:.3e} aborted={aborted}{timing} "
+                     f"-> {cfg.out}.csv/.json")
 
 
 def _trainsim_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> np.ndarray:

@@ -244,7 +244,7 @@ def diffuse(
         reasons = np.full(len(n0), "", dtype=object)
         # Degenerate rows divide by a vanishing norm; they are redrawn or raise below.
         with np.errstate(all="ignore"):
-            pose = denormalize(NormalizedPose.from_vector(n_t), intrinsics, cfg, reasons)
+            pose = denormalize(NormalizedPose(n_t), intrinsics, cfg, reasons)
         redo = reasons == DegenerateRotation6D.__name__
         if attempt == attempts or not redo.any():
             break
@@ -252,5 +252,5 @@ def diffuse(
     failed = np.flatnonzero(reasons != "")
     if failed.size:
         # Alone and without a record, the first failing row raises its error.
-        denormalize(NormalizedPose.from_vector(n_t[failed[0]]), intrinsics[failed[0]], cfg)
+        denormalize(NormalizedPose(n_t[failed[0]]), intrinsics[failed[0]], cfg)
     return pose[0] if single else pose

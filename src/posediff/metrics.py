@@ -122,13 +122,12 @@ def generate_scenarios(
         intrinsics = CameraIntrinsics(f=f, w=w, h=h)
         u = lo + span * rng.random(J + 3)
         joints = JointConfig(u[:J])
-        tx_n, ty_n, tz_n = u[J:].tolist()
         while True:
             # Gaussian 6D draws are degenerate only on a measure-zero set;
             # redrawing keeps generation total and deterministic.
             rot6 = rng.standard_normal(6)
             try:
-                gt = denormalize(NormalizedPose(rot6, tx_n, ty_n, tz_n), intrinsics, cfg)
+                gt = denormalize(NormalizedPose(np.concatenate((rot6, u[J:]))), intrinsics, cfg)
                 break
             except DegenerateRotation6D:
                 continue

@@ -49,41 +49,33 @@ class NormConfig:
 
 @dataclass
 class NormalizedPose:
-    """Monocular-normalized pose: 6 rotation components plus (tx_n, ty_n, tz_n).
+    """Monocular-normalized pose: one 9-vector `vec`, laid out [rot6 | tx_n, ty_n, tz_n].
 
     Arbitrary reals are legal (diffusion noise lands here); only
     `denormalize` imposes validity requirements. A batch of N poses has
-    rot6 (N, 6) and (N,) translation components.
+    `vec` (N, 9). The named components are views of `vec`: `rot6` (..., 6)
+    and `tx_n`, `ty_n`, `tz_n` (...), 0-d for a single pose.
     """
 
-    rot6: np.ndarray
-    tx_n: float | np.ndarray
-    ty_n: float | np.ndarray
-    tz_n: float | np.ndarray
+    vec: np.ndarray
 
     def __post_init__(self):
-        self.rot6 = np.asarray(self.rot6, dtype=float)
+        self.vec = np.asarray(self.vec, dtype=float)
+        self.rot6 = self.vec[..., :6]
+        self.tx_n = self.vec[..., 6]
+        self.ty_n = self.vec[..., 7]
+        self.tz_n = self.vec[..., 8]
 
     def as_vector(self) -> np.ndarray:
-        """Pack into the canonical 9-vector layout [rot6 | tx_n, ty_n, tz_n]."""
-        vec = np.empty(self.rot6.shape[:-1] + (9,))
-        vec[..., :6] = self.rot6
-        vec[..., 6] = self.tx_n
-        vec[..., 7] = self.ty_n
-        vec[..., 8] = self.tz_n
-        return vec
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "NormalizedPose":
-        """Unpack a 9-vector, or an (N, 9) batch of them."""
-        vec = np.asarray(vec, dtype=float)
-        return cls(vec[..., :6].copy(), vec[..., 6].copy(), vec[..., 7].copy(), vec[..., 8].copy())
+        """The 9-vector itself, `vec`; not a copy."""
+        return self.vec
 
 
 def normalize(
     pose: Pose, intrinsics: CameraIntrinsics, cfg: NormConfig, reasons: np.ndarray | None = None
 ) -> NormalizedPose:
-    """Map a pose with positive depth to its normalized 9-vector form.
+    """Map a pose with positive depth to its normalized 9-vector form: R's first two
+    columns, then the three translation components, written into one array.
 
     Batches of poses and cameras map row by row.
 
@@ -93,9 +85,13 @@ def normalize(
     """
     tx, ty, tz = pose.t.T
     fail_where(tz <= 0, NonPositiveDepth, reasons, "pose depth {} is not positive", tz)
-    tx_n = intrinsics.f * tx / (intrinsics.w * tz)
-    ty_n = intrinsics.f * ty / (intrinsics.h * tz)
-    return NormalizedPose(pose.rot6(), tx_n, ty_n, tz - cfg.c_z)
+    vec = np.empty(pose.t.shape[:-1] + (9,))
+    vec[..., :3] = pose.R[..., 0]
+    vec[..., 3:6] = pose.R[..., 1]
+    vec[..., 6] = intrinsics.f * tx / (intrinsics.w * tz)
+    vec[..., 7] = intrinsics.f * ty / (intrinsics.h * tz)
+    vec[..., 8] = tz - cfg.c_z
+    return NormalizedPose(vec)
 
 
 def denormalize(

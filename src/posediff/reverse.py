@@ -116,21 +116,14 @@ class Trajectory:
         return len(self.steps)
 
 
-def _vector(n: NormalizedPose | np.ndarray) -> np.ndarray:
-    return n.as_vector() if isinstance(n, NormalizedPose) else np.asarray(n, dtype=float)
-
-
-def predicted_noise(
-    n_t: NormalizedPose | np.ndarray,
-    n0_hat: NormalizedPose | np.ndarray,
-    t: int,
-    sched: Schedule,
-) -> np.ndarray:
-    """Noise implied by a prediction: (n_t - sqrt(a_t) n0_hat) / sqrt(1 - a_t)."""
+def predicted_noise(n_t: np.ndarray, n0_hat: np.ndarray, t: int, sched: Schedule) -> np.ndarray:
+    """Noise implied by a prediction: (n_t - sqrt(a_t) n0_hat) / sqrt(1 - a_t), on normalized
+    9-vectors or (N, 9) batches of them."""
     if t < 1:
         raise InvalidTimestepOrder(f"noise recovery needs t >= 1, got {t}")
     a = sched.alpha_bar[t]
-    return (_vector(n_t) - np.sqrt(a) * _vector(n0_hat)) / np.sqrt(1.0 - a)
+    n_t, n0_hat = np.asarray(n_t, dtype=float), np.asarray(n0_hat, dtype=float)
+    return (n_t - np.sqrt(a) * n0_hat) / np.sqrt(1.0 - a)
 
 
 def sigma_squared(sched: Schedule, t: int, t_prev: int, eta: float, form: str = "paper") -> float:
@@ -154,29 +147,30 @@ def sigma_squared(sched: Schedule, t: int, t_prev: int, eta: float, form: str = 
 
 
 def ddim_step(
-    n_t: NormalizedPose | np.ndarray,
-    n0_hat: NormalizedPose | np.ndarray,
+    n_t: np.ndarray,
+    n0_hat: np.ndarray,
     t: int,
     t_prev: int,
     sched: Schedule,
     eta: float = 1.0,
     sigma_form: str = "paper",
 ) -> NormalizedPose:
-    """Deterministic DDIM update of the normalized pose from t to t_prev.
+    """Deterministic DDIM update of a normalized 9-vector (or an (N, 9) batch) from t to
+    t_prev, given the prediction `n0_hat` in the same form.
 
     Raises:
         InvalidTimestepOrder: unless t > t_prev >= 0.
     """
     if not (t > t_prev >= 0):
         raise InvalidTimestepOrder(f"need t > t_prev >= 0, got t={t}, t_prev={t_prev}")
+    n0_hat = np.asarray(n0_hat, dtype=float)
     eps = predicted_noise(n_t, n0_hat, t, sched)
     a_prev = sched.alpha_bar[t_prev]
     s2 = sigma_squared(sched, t, t_prev, eta, sigma_form)
     radicand = 1.0 - a_prev - s2
     if radicand < 0.0:
         radicand = 0.0
-    out = np.sqrt(a_prev) * _vector(n0_hat) + np.sqrt(radicand) * eps
-    return NormalizedPose.from_vector(out)
+    return NormalizedPose(np.sqrt(a_prev) * n0_hat + np.sqrt(radicand) * eps)
 
 
 def _initial_pose(
@@ -197,7 +191,7 @@ def _initial_pose(
         n = box.clamp(standard_normal(rng) * scales.as_vector())
     else:
         n = np.broadcast_to(np.append(IDENTITY_ROT6, np.zeros(3)), obs.gt_pose.t.shape[:-1] + (9,))
-    return denormalize(NormalizedPose.from_vector(n), obs.intrinsics, cfg, reasons)
+    return denormalize(NormalizedPose(n), obs.intrinsics, cfg, reasons)
 
 
 def _lockstep(
@@ -240,11 +234,11 @@ def _lockstep(
             # A DDIM step normalizes the pose before the oracle call, so a row failing both
             # records the normalization's check, and then steps toward the prediction.
             if t_prev is not None:
-                n_t = normalize(pose, obs.intrinsics, cfg, reasons)
+                n_t = normalize(pose, obs.intrinsics, cfg, reasons).as_vector()
             out = oracle.predict(pose, t, obs, rng, reasons)
             pose = apply_update(pose, out, obs.intrinsics, reasons)
             if t_prev is not None:
-                n0_hat = normalize(pose, obs.intrinsics, cfg, reasons)
+                n0_hat = normalize(pose, obs.intrinsics, cfg, reasons).as_vector()
                 n_prev = ddim_step(n_t, n0_hat, t, t_prev, sched, rcfg.eta, rcfg.sigma_form)
                 pose = denormalize(n_prev, obs.intrinsics, cfg, reasons)
             # A pose with a NaN or an infinity, or one so far out that its ADD

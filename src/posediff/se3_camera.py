@@ -62,10 +62,6 @@ class Pose:
         """The poses of the selected batch rows."""
         return Pose(self.R[rows], self.t[rows])
 
-    def rot6(self) -> np.ndarray:
-        """First two columns of R, concatenated into a length-6 vector."""
-        return np.concatenate([self.R[..., 0], self.R[..., 1]], axis=-1)
-
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply the transform to (K, 3) points; a batch gives (N, K, 3).
 

@@ -58,8 +58,9 @@ def reference_diffuse_rows(cfg, world, sc):
         # in_frustum reads only the translation, so a degenerate rotation does not
         # matter: the identity stands in for it.
         try:
-            inside = in_frustum(denormalize(NormalizedPose(IDENTITY_ROT6, *n[6:]), K, norm), K,
-                                cfg.margin, (norm.z_min, norm.z_max))
+            inside = in_frustum(
+                denormalize(NormalizedPose(np.concatenate((IDENTITY_ROT6, n[6:]))), K, norm), K,
+                cfg.margin, (norm.z_min, norm.z_max))
         except NonPositiveDepth:
             inside = False
         behind = n[8] + norm.c_z <= 0
@@ -78,7 +79,7 @@ def reference_forward_draw(sc, t, world, rng, clamp):
         n_t = diffuse_normalized(n0, t, sched, scales, rng.standard_normal(9),
                                  box if clamp else None)
         try:
-            return denormalize(NormalizedPose.from_vector(n_t), sc.intrinsics, norm)
+            return denormalize(NormalizedPose(n_t), sc.intrinsics, norm)
         except DegenerateRotation6D:
             if attempt == 16:
                 raise
@@ -173,7 +174,7 @@ def test_degenerate_noised_rotation_is_judged_by_its_translation(monkeypatch):
     noised = cli._diffuse_chunk(cfg, world, [sc])[1][0, 0]
     assert np.linalg.norm(noised[:6]) < 1e-12 and np.array_equal(noised[6:], n)
     with pytest.raises(DegenerateRotation6D):
-        denormalize(NormalizedPose.from_vector(noised), sc.intrinsics, norm)
+        denormalize(NormalizedPose(noised), sc.intrinsics, norm)
 
 
 TRAINSIM_CASES = list(itertools.product((True, False), DENOISERS))

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -932,6 +933,38 @@ STRICT_JSON_RUNS = {
     "estimate": ["estimate", "--scenarios", "5", "--denoiser", "biased:1e300"],
     "trainsim": ["trainsim", "--scenarios", "20", "--denoiser", "biased:1e300"],
 }
+
+
+def test_finite_summary_is_written_without_a_strict_copy(tmp_path, monkeypatch):
+    def refuse(value):
+        raise AssertionError("a finite summary was copied")
+
+    monkeypatch.setattr(cli, "_strict", refuse)
+    payload = {"b": [1.5, {"c": -0.0, "d": 5e-324}], "a": (1, 2), "s": "x"}
+    cli._write_json(str(tmp_path / "s.json"), payload)
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert read(tmp_path / "s.json").decode() == want
+
+
+def test_metadata_names_numpy_and_csv_lines_do_not(tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["diffuse", "--scenarios", "2", "--out", out]) == 0
+    assert json.loads(read(out + ".json"))["metadata"]["numpy"] == np.__version__
+    comments = [l for l in read(out + ".csv").decode().splitlines() if l.startswith("#")]
+    assert [l.split("=")[0] for l in comments] == ["# command", "# seed", "# version", "# config"]
+
+
+def test_estimate_stdout_has_wall_clock_only_with_timing(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    argv = ["estimate", "--scenarios", "3", "--out", out]
+    lines = []
+    for _ in range(2):
+        assert main(argv) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+    assert lines[0].endswith(f" aborted=0 -> {out}.csv/.json\n")
+    assert main([*argv, "--timing"]) == 0
+    assert re.search(r" aborted=0 \(\d+\.\d\ds\) -> ", capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("command", STRICT_JSON_RUNS)

@@ -114,7 +114,8 @@ def reference_generate_scenarios(seed, count, box, chain, cfg):
             # redrawing keeps generation total and deterministic.
             rot6 = rng.standard_normal(6)
             try:
-                gt = denormalize(NormalizedPose(rot6, tx_n, ty_n, tz_n), intrinsics, cfg)
+                gt = denormalize(NormalizedPose(np.append(rot6, (tx_n, ty_n, tz_n))),
+                                 intrinsics, cfg)
                 break
             except DegenerateRotation6D:
                 continue
@@ -185,7 +186,7 @@ def test_degenerate_rotation_draw_is_redrawn(monkeypatch):
     tx_n = float(rng.uniform(-box.xy_bound, box.xy_bound))
     ty_n = float(rng.uniform(-box.xy_bound, box.xy_bound))
     tz_n = float(rng.uniform(*box.z_bound))
-    n = NormalizedPose(rng.standard_normal(6), tx_n, ty_n, tz_n)
+    n = NormalizedPose(np.append(rng.standard_normal(6), (tx_n, ty_n, tz_n)))
     gt = denormalize(n, CameraIntrinsics(f=f, w=w, h=h), cfg)
     assert_same_bits(got[1].gt_pose.R, gt.R)
     assert_same_bits(got[1].gt_pose.t, gt.t)

@@ -78,7 +78,7 @@ def reference_row(cfg, world, rcfg, oracle, sc):
         elif cfg.init == "prior-sample":
             box = FrustumBox.for_config(norm, cfg.margin)
             n = box.clamp(rng.standard_normal(9) * scales.as_vector())
-            pose = denormalize(NormalizedPose.from_vector(n), obs.intrinsics, norm)
+            pose = denormalize(NormalizedPose(n), obs.intrinsics, norm)
         else:
             pose = Pose(np.eye(3), [0.0, 0.0, norm.c_z])
         for t, t_prev in plan:
@@ -88,7 +88,8 @@ def reference_row(cfg, world, rcfg, oracle, sc):
                 n_t = normalize(pose, obs.intrinsics, norm)
                 pred = apply_update(pose, oracle.predict(pose, t, obs, rng), obs.intrinsics)
                 n0_hat = normalize(pred, obs.intrinsics, norm)
-                n_prev = ddim_step(n_t, n0_hat, t, t_prev, sched, rcfg.eta, rcfg.sigma_form)
+                n_prev = ddim_step(n_t.as_vector(), n0_hat.as_vector(), t, t_prev, sched,
+                                   rcfg.eta, rcfg.sigma_form)
                 pose = denormalize(n_prev, obs.intrinsics, norm)
             step_adds.append(point_distance(obs.gt_pose, pose, kp))
             if not np.isfinite(step_adds[-1]):

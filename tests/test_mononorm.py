@@ -1,5 +1,7 @@
 """Tests for the monocular normalization bijection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,27 +44,70 @@ class TestNormalize:
             assert (n.tx_n, n.ty_n, n.tz_n) == (base.tx_n, base.ty_n, base.tz_n)
 
 
+def four_field_packing(pose, intrinsics, cfg):
+    """The 9-vector as it was built when `NormalizedPose` held rot6 and the three
+    translation components as separate fields, and `as_vector` packed them."""
+    tx, ty, tz = pose.t.T
+    rot6 = np.concatenate([pose.R[..., 0], pose.R[..., 1]], axis=-1)
+    tx_n = intrinsics.f * tx / (intrinsics.w * tz)
+    ty_n = intrinsics.f * ty / (intrinsics.h * tz)
+    vec = np.empty(rot6.shape[:-1] + (9,))
+    vec[..., :6] = rot6
+    vec[..., 6] = tx_n
+    vec[..., 7] = ty_n
+    vec[..., 8] = tz - cfg.c_z
+    return vec
+
+
+class TestOneVector:
+    def test_normalize_matches_four_field_packing(self, intrinsics, norm_cfg):
+        rng = np.random.default_rng(26)
+        poses = [Pose(np.eye(3), [-0.0, 0.0, 1.5])] + [random_pose(rng) for _ in range(15)]
+        for pose in poses:
+            assert_same_bits(normalize(pose, intrinsics, norm_cfg).as_vector(),
+                             four_field_packing(pose, intrinsics, norm_cfg))
+        batch = Pose.stack(poses)
+        cams = CameraIntrinsics.stack(
+            [CameraIntrinsics(f=400.0 + 37.5 * i, w=(640, 1280)[i % 2], h=480) for i in range(16)]
+        )
+        assert_same_bits(normalize(batch, cams, norm_cfg).as_vector(),
+                         four_field_packing(batch, cams, norm_cfg))
+
+    @pytest.mark.parametrize("shape", [(9,), (4, 9)])
+    def test_named_components_are_views_of_the_vector(self, shape):
+        n = NormalizedPose(np.arange(np.prod(shape), dtype=float).reshape(shape))
+        vec = n.as_vector()
+        assert vec is n.vec
+        for part, want in ((n.rot6, vec[..., :6]), (n.tx_n, vec[..., 6]),
+                           (n.ty_n, vec[..., 7]), (n.tz_n, vec[..., 8])):
+            assert np.shares_memory(part, vec)
+            assert_same_bits(part, want)
+
+    def test_the_vector_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(NormalizedPose)] == ["vec"]
+
+
 class TestDenormalize:
     def test_inverse_of_centered_pose(self, intrinsics, norm_cfg):
-        pose = denormalize(NormalizedPose([1, 0, 0, 0, 1, 0], 0, 0, 0), intrinsics, norm_cfg)
+        pose = denormalize(NormalizedPose([1, 0, 0, 0, 1, 0, 0, 0, 0]), intrinsics, norm_cfg)
         np.testing.assert_array_equal(pose.R, np.eye(3))
         np.testing.assert_allclose(pose.t, [0, 0, 1.5])
 
     def test_hand_computed_translation(self, intrinsics, norm_cfg):
         # tz = -0.3 + 1.5 = 1.2, tx = 640*1.2/600 * 0.5 = 0.64
         pose = denormalize(
-            NormalizedPose([1, 0, 0, 0, 1, 0], 0.5, 0.0, -0.3), intrinsics, norm_cfg
+            NormalizedPose([1, 0, 0, 0, 1, 0, 0.5, 0.0, -0.3]), intrinsics, norm_cfg
         )
         assert pose.t[2] == pytest.approx(1.2, abs=1e-15)
         assert pose.t[0] == pytest.approx(0.64, abs=1e-12)
 
     def test_non_positive_recovered_depth_raises(self, intrinsics, norm_cfg):
         with pytest.raises(NonPositiveDepth):
-            denormalize(NormalizedPose([1, 0, 0, 0, 1, 0], 0, 0, -1.5), intrinsics, norm_cfg)
+            denormalize(NormalizedPose([1, 0, 0, 0, 1, 0, 0, 0, -1.5]), intrinsics, norm_cfg)
 
     def test_degenerate_rotation_propagates(self, intrinsics, norm_cfg):
         with pytest.raises(DegenerateRotation6D):
-            denormalize(NormalizedPose([0, 0, 0, 0, 1, 0], 0, 0, 0), intrinsics, norm_cfg)
+            denormalize(NormalizedPose([0, 0, 0, 0, 1, 0, 0, 0, 0]), intrinsics, norm_cfg)
 
 
 class TestRoundTrip:
@@ -79,7 +124,7 @@ class TestRoundTrip:
 
     def test_vector_packing_roundtrip(self):
         vec = np.arange(9.0)
-        n = NormalizedPose.from_vector(vec)
+        n = NormalizedPose(vec)
         assert_same_bits(n.as_vector(), vec)
 
 
@@ -104,7 +149,7 @@ class TestBatchHelpers:
         batch = normalize(Pose.stack(poses), intrinsics, norm_cfg).as_vector()
         for i, p in enumerate(poses):
             assert_same_bits(batch[i], normalize(p, intrinsics, norm_cfg).as_vector())
-        back = denormalize(NormalizedPose.from_vector(batch), intrinsics, norm_cfg)
+        back = denormalize(NormalizedPose(batch), intrinsics, norm_cfg)
         np.testing.assert_allclose(back.t, np.stack([p.t for p in poses]), atol=1e-12)
 
     def test_batch_rejects_bad_depths(self, intrinsics, norm_cfg):

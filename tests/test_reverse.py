@@ -6,7 +6,6 @@ import pytest
 from posediff import (
     NoiseScales,
     NoisyOracle,
-    NormalizedPose,
     PerfectOracle,
     Pose,
     ReverseConfig,
@@ -53,11 +52,6 @@ class TestPredictedNoise:
         t = 10
         got = predicted_noise(vec, np.zeros(9), t, sched)
         np.testing.assert_allclose(got, vec / np.sqrt(1 - sched.alpha_bar[t]), atol=1e-14)
-
-    def test_accepts_normalized_pose_objects(self, sched):
-        n = NormalizedPose.from_vector(np.ones(9))
-        got = predicted_noise(n, n, 5, sched)
-        assert got.shape == (9,)
 
     def test_t_below_one_raises(self, sched):
         with pytest.raises(InvalidTimestepOrder):

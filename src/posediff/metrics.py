@@ -15,6 +15,8 @@ ground-truth pose is in-frustum by construction.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +44,83 @@ JOINT_LIMIT = np.pi
 # The threshold grid `auc` integrates over, which every estimate JSON reports as `auc_grid`.
 AUC_GRID = {"t_min": 1e-5, "t_max": 0.1, "n_thresholds": 2000}
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) hashes and mixes a pool of 4 uint32
+# words. `_block_words` does so for `_BLOCK` consecutive indices at once; 2**32 is a multiple
+# of `_BLOCK`, so every index of a block splits into the same number of 32-bit words.
+_BLOCK = 256
+_MASK32 = 0xFFFFFFFF
+
 
 def scenario_rng(seed: int, index: int, stream: int) -> np.random.Generator:
-    """Independent generator for one (seed, scenario, purpose) triple."""
-    return np.random.default_rng([seed, index, stream])
+    """Independent generator for one (seed, scenario, purpose) triple: the state of
+    `np.random.default_rng([seed, index, stream])`, from its seeding words."""
+    block, row = divmod(int(index), _BLOCK)
+    words = _block_words(int(seed), int(stream), block)[row]
+    return np.random.Generator(np.random.PCG64(_given_words()(words)))
+
+
+@functools.cache
+def _given_words() -> type:
+    """An `ISeedSequence` that hands PCG64 its seeding words, built at the first call so
+    that importing posediff does not load `numpy.random`."""
+
+    class GivenWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("holds PCG64's 4 uint64 seeding words only")
+            return self.words
+
+    return GivenWords
+
+
+@functools.lru_cache(maxsize=32)
+def _block_words(seed: int, stream: int, block: int) -> np.ndarray:
+    """`SeedSequence([seed, i, stream]).generate_state(4, np.uint64)` for the `_BLOCK`
+    indices `i` of `block`, one read-only row each, hashed for all rows at once."""
+    index = _words32(block * _BLOCK)
+    index[0] = index[0] + np.arange(_BLOCK, dtype=np.uint64)
+    entropy = _words32(seed) + index + _words32(stream)
+    # mix_entropy: hash the first words into the pool (zeros past the end), mix every pool
+    # word into every other, then mix each remaining word into every pool word.
+    hashes = _hashes(0x43B0D7E5, 0x931E8875)
+    pool = [_hash(entropy[i] if i < len(entropy) else 0, hashes) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], hashes))
+    for word, dst in itertools.product(entropy[4:], range(4)):
+        pool[dst] = _mix(pool[dst], _hash(word, hashes))
+    # generate_state(4, np.uint64): 8 words cycled from the pool, paired little-endian.
+    hashes = _hashes(0x8B51F9DD, 0x58F38DED)
+    state = np.array([_hash(pool[i % 4], hashes) for i in range(8)])
+    words = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+    words.flags.writeable = False
+    return words
+
+
+def _words32(n: int) -> list:
+    """The little-endian 32-bit words SeedSequence splits an entropy int into; 0 is one word."""
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashes(h: int, mult: int):
+    """SeedSequence's running hash constant: each hash XORs one and multiplies by the next."""
+    while True:
+        yield h, (h := h * mult & _MASK32)
+
+
+def _hash(value, hashes):
+    x, m = next(hashes)
+    value = (value ^ x) * m & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ value >> 16
 
 
 def add_metric(gt: Pose, pred: Pose, keypoints: np.ndarray) -> np.ndarray:

@@ -107,10 +107,12 @@ def denormalize(
         DegenerateRotation6D: propagated from Gram-Schmidt.
         Given `reasons`, failing rows are recorded there instead, depth first.
     """
-    tz = n.tz_n + cfg.c_z
+    # Scalars for one pose, row views for a batch: numpy ops on 0-d views cost far more.
+    tx_n, ty_n, tz_n = n.vec[..., 6:].T
+    tz = tz_n + cfg.c_z
     fail_where(tz <= 0, NonPositiveDepth, reasons, "recovered depth {} is not positive", tz)
-    tx = (intrinsics.w * tz / intrinsics.f) * n.tx_n
-    ty = (intrinsics.h * tz / intrinsics.f) * n.ty_n
+    tx = (intrinsics.w * tz / intrinsics.f) * tx_n
+    ty = (intrinsics.h * tz / intrinsics.f) * ty_n
     R = gram_schmidt_6d(n.rot6, reasons)
     t = np.empty(np.shape(tz) + (3,))
     t[..., 0], t[..., 1], t[..., 2] = tx, ty, tz

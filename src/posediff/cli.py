@@ -178,7 +178,9 @@ class RunConfig:
     mode: str = _field("ddim", ("estimate",), "estimator", choices=MODES)
     init: str = _field("canonical", ("estimate",), "start of the reverse loop", choices=INIT_MODES,
                        unread=(NOT_TRACKING,))
-    scenarios: int = _field(100, SCENE, "scenarios in the run", AT_LEAST_1)
+    # Past sys.maxsize, a range of the scenarios has no len().
+    scenarios: int = _field(100, SCENE, "scenarios in the run", AT_LEAST_1,
+                            (lambda v, c: v <= sys.maxsize, f"must be <= {sys.maxsize}"))
     seed: int = _field(0, ALL, "run seed, recorded in every output", AT_LEAST_0)
     clamp: bool = _field(True, ("diffuse", "trainsim"), "clamp diffused poses into the frustum box")
     # "all" is range(1, steps + 1), in range by construction; it is checked before
@@ -205,11 +207,11 @@ class RunConfig:
                           (lambda v, c: v <= MAX_WORKERS, f"must be <= {MAX_WORKERS}"))
     timing: bool = _field(False, ("estimate",), "put wall-clock times in the JSON and stdout")
 
-    def validate(self, command: str | None = None) -> "RunConfig":
-        """Check as declared each field that `command` reads (each field, without one); `main`
-        then builds the world, which checks the rest."""
-        for f in dataclasses.fields(self):
-            if command and _unread(self, f, command):
+    def validate(self, command: str) -> "RunConfig":
+        """Check as declared each field that `command` reads; `main` then builds the world,
+        which checks the rest."""
+        for f in FIELDS.values():
+            if _unread(self, f, command):
                 continue
             for ok, msg in f.metadata["checks"]:
                 if not ok(getattr(self, f.name), self):
@@ -227,10 +229,13 @@ class RunConfig:
             raise InvalidConfig(f"timesteps: not a comma-separated int list: {exc}") from exc
 
 
-def _build_world(cfg: RunConfig, command: str | None = None) -> tuple:
+FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+
+
+def _build_world(cfg: RunConfig, command: str) -> tuple:
     """Shared wiring: schedule, normalization, scales, box, chain, oracle. Only the parts that
-    `command` reads are built (each, without one), so a config file's other fields cannot fail
-    it: `schedule` gets the schedule alone, and `diffuse` gets None for the oracle."""
+    `command` reads are built, so a config file's other fields cannot fail it: `schedule` gets
+    the schedule alone, and `diffuse` gets None for the oracle."""
     try:
         sched = make_linear_schedule(cfg.steps, cfg.beta_start, cfg.beta_end)
     except InvalidScheduleParams as exc:
@@ -238,7 +243,7 @@ def _build_world(cfg: RunConfig, command: str | None = None) -> tuple:
     except (ValueError, IndexError, MemoryError) as exc:
         # numpy's own errors for a length it cannot allocate or index.
         raise InvalidConfig(f"steps: no schedule of this length can be built: {exc}") from exc
-    if command is not None and command not in SCENE:
+    if command not in SCENE:
         return (sched,)
     try:
         norm = NormConfig(c_z=cfg.cz, z_min=cfg.z_min, z_max=cfg.z_max)
@@ -259,7 +264,7 @@ def _build_world(cfg: RunConfig, command: str | None = None) -> tuple:
         chain = ChainSpec.from_json(cfg.chain) if cfg.chain else ChainSpec()
     except (OSError, ValueError, TypeError) as exc:
         raise InvalidConfig(f"chain: {exc}") from exc
-    if command is None or not _unread(cfg, RunConfig.__dataclass_fields__["per_link"], command):
+    if not _unread(cfg, FIELDS["per_link"], command):
         try:
             sample_points(chain, JointConfig.zeros(chain.n_joints), cfg.per_link)
         except (ValueError, MemoryError) as exc:
@@ -267,8 +272,14 @@ def _build_world(cfg: RunConfig, command: str | None = None) -> tuple:
             # one that numpy miscounts.
             raise InvalidConfig(f"per_link: no loss point set of this size can be built: "
                                 f"{exc}") from exc
+    if not _unread(cfg, FIELDS["refine_steps"], command):
+        try:  # one row's noise block, the longest array the reverse loop sizes by it
+            np.empty((cfg.ddim_steps + cfg.refine_steps, 9))
+        except (ValueError, MemoryError) as exc:
+            raise InvalidConfig(f"refine_steps: no noise block of this length can be built: "
+                                f"{exc}") from exc
     oracle = None
-    if command is None or not _unread(cfg, RunConfig.__dataclass_fields__["denoiser"], command):
+    if not _unread(cfg, FIELDS["denoiser"], command):
         oracle = parse_denoiser(cfg.denoiser, sched, scales, norm, competence=cfg.competence)
     return sched, norm, scales, box, chain, oracle
 
@@ -359,15 +370,14 @@ def cmd_schedule(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     return None, f"schedule: wrote {cfg.steps} rows to {cfg.out}.csv"
 
 
-def _chunks(items, workers: int, rows: int = 1) -> list:
-    """`items` (a list or a range) split into contiguous chunks of near-equal length: one
-    per worker while each keeps MIN_CHUNK items, and more where needed to keep every chunk
-    within MAX_CHUNK items and, at `rows` batch rows per item, within MAX_BATCH_ROWS rows
-    (an item of more rows is a chunk alone)."""
+def _chunks(items, workers: int, rows: int = 1) -> Iterator:
+    """`items` (a list or a range) split into contiguous chunks of near-equal length, made
+    as they are reached: one per worker while each keeps MIN_CHUNK items, and more where
+    needed to keep every chunk within MAX_CHUNK items and, at `rows` batch rows per item,
+    within MAX_BATCH_ROWS rows (an item of more rows is a chunk alone)."""
     cap = max(1, min(MAX_CHUNK, MAX_BATCH_ROWS // rows))
     n = max(1, min(workers, len(items) // MIN_CHUNK), -(-len(items) // cap))
-    bounds = [len(items) * k // n for k in range(n + 1)]
-    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    return (items[len(items) * k // n:len(items) * (k + 1) // n] for k in range(n))
 
 
 def _run_chunks(cfg: RunConfig, world: tuple, run_chunk, rows: int = 1) -> Iterator:
@@ -388,15 +398,16 @@ def _run_chunks(cfg: RunConfig, world: tuple, run_chunk, rows: int = 1) -> Itera
     return _pool_map(run, chunks, cfg.workers)
 
 
-def _pool_map(fn, items: list, workers: int) -> Iterator:
+def _pool_map(fn, items, workers: int) -> Iterator:
     """`map(fn, items)` on `workers` threads with at most `workers` items in flight,
     so that memory holds those results and the one being consumed, not all of them.
     Only --workers > 1 starts a pool, so only such a run imports `concurrent.futures`."""
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight = collections.deque(pool.submit(fn, item) for item in items[:workers])
-        for item in items[workers:]:
+        items = iter(items)
+        in_flight = collections.deque(pool.submit(fn, x) for x in itertools.islice(items, workers))
+        for item in items:
             yield in_flight.popleft().result()
             in_flight.append(pool.submit(fn, item))
         while in_flight:
@@ -448,10 +459,10 @@ def cmd_diffuse(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     # timestep's in-frustum count and component sums: the vectors' as each chunk arrives,
     # then the squared deviations' as it reads the file back in order, MAX_BATCH_ROWS
     # vectors at a time.
-    slot = {}  # each distinct timestep's row of the counts and sums, in first-listed order
-    slot_of = np.array([slot.setdefault(t, len(slot)) for t in ts])
-    hits = np.zeros(len(slot), dtype=np.int64)
-    sums, squares = np.zeros((len(slot), 9)), np.zeros((len(slot), 9))
+    # Each distinct timestep, and each listed timestep's row of the counts and sums.
+    distinct, slot_of = np.unique(ts, return_inverse=True)
+    hits = np.zeros(len(distinct), dtype=np.int64)
+    sums, squares = np.zeros((len(distinct), 9)), np.zeros((len(distinct), 9))
     # A timestep listed m times pools its m columns, scenario by scenario, and numpy's mean
     # and std over that (S * m, 9) array add one vector at a time in that order. So does
     # `np.add.at`, in index order, into a timestep's row of the sums.
@@ -479,7 +490,7 @@ def cmd_diffuse(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
     mean, std = mean.tolist(), std.tolist()
     del sums, squares  # so that the arrays are freed before the summary's dicts are allocated
     summary_t = {}
-    for t, u in slot.items():
+    for u, t in enumerate(distinct.tolist()):
         summary_t[str(t)] = {
             "in_frustum_rate": int(hits[u]) / int(pool[u]),
             "component_mean": mean[u],
@@ -492,20 +503,17 @@ def cmd_diffuse(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
                      f"-> {cfg.out}.csv/.json")
 
 
+# The reverse loop's value of each field that an `estimate` run does not read (see `_field`).
+NEUTRAL = {"ddim_steps": 1, "refine_steps": 0, "eta": 0.0, "init": "canonical",
+           "sigma_form": "paper", "margin": 0.0}
+
+
 def _estimate_reverse_config(cfg: RunConfig) -> ReverseConfig:
-    """The reverse loop of `cfg.mode`. Tracking, one scheduled step from its start, the previous
-    estimate, reads no init and is given "canonical". A run that does not read eta or
-    sigma_form (see their `unread` pairs) is given 0 or "paper", with which its steps are the
-    same."""
-    tracking, ddim = cfg.mode == "tracking", cfg.mode == "ddim"
-    return ReverseConfig(
-        ddim_steps=1 if tracking else cfg.ddim_steps,
-        refine_steps=0 if tracking else cfg.refine_steps,
-        eta=cfg.eta if ddim else 0.0,
-        init_mode="canonical" if tracking else cfg.init,
-        sigma_form=cfg.sigma_form if ddim and cfg.eta != 0 else "paper",
-        margin=cfg.margin,
-    )
+    """The reverse loop of an `estimate` run: each field it reads, else its NEUTRAL value."""
+    read = {name: neutral if _unread(cfg, FIELDS[name], "estimate") else getattr(cfg, name)
+            for name, neutral in NEUTRAL.items()}
+    read["init_mode"] = read.pop("init")
+    return ReverseConfig(**read)
 
 
 def _trajectory_rows(traj, index: np.ndarray, done: np.ndarray) -> Iterator:
@@ -672,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.__doc__, description=command.__doc__)
         p.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
-        for f in dataclasses.fields(RunConfig):
+        for f in FIELDS.values():
             if name in f.metadata["commands"]:
                 p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **f.metadata["flag"])
     return parser
@@ -682,25 +690,24 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the --config file, then the flags given. Every float, read or not, must
     be finite, so that the strict-JSON metadata reloads as a config. After the value checks, a
     flag for a field that the run does not read is rejected; a file may set any such field."""
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             values = json.load(fh)
         if not isinstance(values, dict):
             raise InvalidConfig("config file: the top level must be a JSON object")
-        unknown = set(values) - set(fields)
+        unknown = set(values) - set(FIELDS)
         if unknown:
             raise InvalidConfig(f"config file: unknown fields {sorted(unknown)}")
         for name, value in values.items():
-            f = fields[name]
+            f = FIELDS[name]
             if type(value) not in f.metadata["file_types"]:
                 raise InvalidConfig(f"{name}: expected {f.type}, got {json.dumps(value)}")
-    flags = [f for f in fields.values() if getattr(args, f.name, None) is not None]
+    flags = [f for f in FIELDS.values() if getattr(args, f.name, None) is not None]
     values.update((f.name, getattr(args, f.name)) for f in flags)
     for name, value in values.items():
         # A config file's int may lie past float range, where math.isfinite raises.
-        if type(fields[name].default) is float and not abs(value) <= sys.float_info.max:
+        if type(FIELDS[name].default) is float and not abs(value) <= sys.float_info.max:
             raise InvalidConfig(f"{name}: must be finite")
     cfg = RunConfig(**values).validate(args.command)
     for f in flags:

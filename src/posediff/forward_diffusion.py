@@ -138,12 +138,11 @@ class FrustumBox:
         )
 
     def clamp(self, n: np.ndarray) -> np.ndarray:
-        """Clamp translation components of (..., 9) normalized vectors in place-free form."""
-        out = np.array(n, dtype=float, copy=True)
-        out[..., 6] = np.clip(out[..., 6], -self.xy_bound, self.xy_bound)
-        out[..., 7] = np.clip(out[..., 7], -self.xy_bound, self.xy_bound)
-        out[..., 8] = np.clip(out[..., 8], self.z_bound[0], self.z_bound[1])
-        return out
+        """(..., 9) normalized vectors with their translation components clamped into the box,
+        as a new array."""
+        xy, (z_lo, z_hi) = self.xy_bound, self.z_bound
+        return np.clip(np.asarray(n, dtype=float), [-np.inf] * 6 + [-xy, -xy, z_lo],
+                       [np.inf] * 6 + [xy, xy, z_hi])
 
 
 def sample_timestep(sched: Schedule, rng: np.random.Generator) -> int:

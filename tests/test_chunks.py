@@ -128,8 +128,8 @@ DIFFUSE_CASES = list(itertools.product((True, False), ("all", "50,50,10", "1,100
 def test_diffuse_chunk_matches_per_scenario_reference(case):
     clamp, timesteps = DIFFUSE_CASES[case]
     cfg = cli.RunConfig(clamp=clamp, timesteps=timesteps, seed=100 + case,
-                        scenarios=60).validate()
-    world = cli._build_world(cfg)
+                        scenarios=60).validate("diffuse")
+    world = cli._build_world(cfg, "diffuse")
     got_rows, got_inside = assert_diffuse_chunk_matches_reference(cfg, world)
     if not clamp and timesteps == "all":
         # The unclamped process leaves the frustum and goes behind the camera.
@@ -152,8 +152,8 @@ def test_degenerate_noised_rotation_is_judged_by_its_translation(monkeypatch):
     """A row whose rotation noise cancels its ground-truth rot6 is degenerate after
     diffusion, and still in the frustum: in_frustum reads only the translation."""
     t = 50
-    cfg = cli.RunConfig(timesteps=str(t), seed=3, scenarios=8).validate()
-    world = cli._build_world(cfg)
+    cfg = cli.RunConfig(timesteps=str(t), seed=3, scenarios=8).validate("diffuse")
+    world = cli._build_world(cfg, "diffuse")
     sched, norm = world[:2]
     sc = scenarios(cfg, world)[2]
     a = sched.alpha_bar[t]
@@ -186,8 +186,8 @@ def test_trainsim_chunk_matches_per_scenario_reference(case):
     # Unclamped draws reach behind the camera now and then, which aborts the
     # run; a 30-step schedule has less noise, and these seeds run whole.
     cfg = cli.RunConfig(clamp=clamp, denoiser=denoiser, seed=200 + case, scenarios=19,
-                        draws=3, steps=100 if clamp else 30, timesteps="all").validate()
-    world = cli._build_world(cfg)
+                        draws=3, steps=100 if clamp else 30, timesteps="all").validate("trainsim")
+    world = cli._build_world(cfg, "trainsim")
     scen = scenarios(cfg, world)
     want = [row for sc in scen for row in reference_trainsim_rows(cfg, world, sc)]
     got = cli._trainsim_chunk(cfg, world, scen)
@@ -196,8 +196,8 @@ def test_trainsim_chunk_matches_per_scenario_reference(case):
 
 
 def test_unclamped_trainsim_chunk_aborts_like_the_reference():
-    cfg = cli.RunConfig(clamp=False, seed=1, scenarios=40, draws=4).validate()
-    world = cli._build_world(cfg)
+    cfg = cli.RunConfig(clamp=False, seed=1, scenarios=40, draws=4).validate("trainsim")
+    world = cli._build_world(cfg, "trainsim")
     scen = scenarios(cfg, world)
     with pytest.raises(NonPositiveDepth):
         [reference_trainsim_rows(cfg, world, sc) for sc in scen]
@@ -236,8 +236,8 @@ def forward_batch(world, scen, t, rngs):
 
 @pytest.mark.parametrize("bad", [1, 3])
 def test_only_the_degenerate_row_redraws(bad):
-    cfg = cli.RunConfig(seed=5, scenarios=6).validate()
-    world = cli._build_world(cfg)
+    cfg = cli.RunConfig(seed=5, scenarios=6).validate("trainsim")
+    world = cli._build_world(cfg, "trainsim")
     scen = scenarios(cfg, world)
     t = np.array([50, 10, 99, 50, 1, 70])
 
@@ -261,8 +261,8 @@ def test_only_the_degenerate_row_redraws(bad):
 
 
 def test_a_row_out_of_redraws_raises():
-    cfg = cli.RunConfig(seed=5, scenarios=3).validate()
-    world = cli._build_world(cfg)
+    cfg = cli.RunConfig(seed=5, scenarios=3).validate("trainsim")
+    world = cli._build_world(cfg, "trainsim")
     scen = scenarios(cfg, world)
     rngs = [np.random.default_rng(0), ScriptedRng(1, degenerate_eps(scen[1], 40, world), 17),
             np.random.default_rng(2)]
@@ -271,8 +271,8 @@ def test_a_row_out_of_redraws_raises():
 
 
 def test_trainsim_chunk_samples_points_once(monkeypatch):
-    cfg = cli.RunConfig(seed=3, scenarios=19, draws=2).validate()
-    world = cli._build_world(cfg)
+    cfg = cli.RunConfig(seed=3, scenarios=19, draws=2).validate("trainsim")
+    world = cli._build_world(cfg, "trainsim")
     calls = []
 
     def counted(*args):
@@ -286,7 +286,7 @@ def test_trainsim_chunk_samples_points_once(monkeypatch):
 
 def test_run_chunks_keeps_at_most_workers_chunks_in_flight():
     # More than 2 * MAX_CHUNK scenarios, so two workers get six chunks.
-    cfg = cli.RunConfig(seed=3, scenarios=1300, workers=2).validate()
+    cfg = cli.RunConfig(seed=3, scenarios=1300, workers=2).validate("estimate")
     started, lock = [], threading.Lock()
 
     def record(cfg, world, chunk):
@@ -296,7 +296,7 @@ def test_run_chunks_keeps_at_most_workers_chunks_in_flight():
         time.sleep(0.03 if k % 2 else 0.0)  # the first of each pair finishes second
         return chunk[0].index
 
-    results = cli._run_chunks(cfg, cli._build_world(cfg), record)
+    results = cli._run_chunks(cfg, cli._build_world(cfg, "estimate"), record)
     first = next(results)
     assert len(started) <= cfg.workers + 1
     want = [chunk[0] for chunk in cli._chunks(list(range(cfg.scenarios)), cfg.workers)]
@@ -306,8 +306,8 @@ def test_run_chunks_keeps_at_most_workers_chunks_in_flight():
 
 @pytest.mark.parametrize("seed", [4, 2**40 + 3])
 def test_scenarios_from_a_start_index_are_rows_of_the_whole_run(seed):
-    cfg = cli.RunConfig(seed=seed, scenarios=60).validate()
-    world = cli._build_world(cfg)
+    cfg = cli.RunConfig(seed=seed, scenarios=60).validate("estimate")
+    world = cli._build_world(cfg, "estimate")
     whole = scenarios(cfg, world)
     for start, count in ((0, 60), (0, 1), (1, 7), (17, 30), (59, 1)):
         part = generate_scenarios(seed, count, world[3], world[4], world[1], start=start).scenarios
@@ -327,12 +327,19 @@ def test_scenarios_from_a_start_index_are_rows_of_the_whole_run(seed):
     (5000, [1] * 1000, [1] * 24),  # a scenario of more rows than the cap is a chunk alone
 ])
 def test_chunks_keep_within_the_row_cap(rows, lengths, worker_lengths):
-    chunks = cli._chunks(range(1000), 1, rows)
+    chunks = list(cli._chunks(range(1000), 1, rows))
     assert [len(c) for c in chunks] == lengths
     assert [i for c in chunks for i in c] == list(range(1000))
     assert all(len(c) * rows <= max(cli.MAX_BATCH_ROWS, rows) for c in chunks)
     # 24 scenarios on 3 workers: one chunk per worker while the caps allow it.
     assert [len(c) for c in cli._chunks(range(24), 3, rows)] == worker_lengths
+
+
+def test_chunks_are_made_as_they_are_reached():
+    """A trillion scenarios make 3.9e9 chunks, none of which exists before it is reached."""
+    t0 = time.perf_counter()
+    assert next(iter(cli._chunks(range(10**12), 1))) == range(0, 256)
+    assert time.perf_counter() - t0 < 1.0
 
 
 CHUNK_RULE_RUNS = {

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -34,17 +35,17 @@ def data_rows(path):
 
 class TestRunConfig:
     def test_defaults_validate(self):
-        RunConfig().validate()
+        RunConfig().validate("estimate")
 
     def test_field_level_messages(self):
         with pytest.raises(InvalidConfig, match="gamma"):
-            RunConfig(gamma=-1).validate()
+            RunConfig(gamma=-1).validate("estimate")
         with pytest.raises(InvalidConfig, match="ddim_steps"):
-            RunConfig(ddim_steps=0).validate()
+            RunConfig(ddim_steps=0).validate("estimate")
         with pytest.raises(InvalidConfig, match="mode"):
-            RunConfig(mode="turbo").validate()
+            RunConfig(mode="turbo").validate("estimate")
         with pytest.raises(InvalidConfig, match="timesteps"):
-            RunConfig(timesteps="5,banana").validate()
+            RunConfig(timesteps="5,banana").validate("diffuse")
 
     def test_workers_are_bounded(self):
         for command in ("diffuse", "estimate", "trainsim"):
@@ -758,8 +759,28 @@ UNREAD_VALUES = {
 def test_a_field_the_run_does_not_read_is_not_checked(argv, tmp_path):
     scenarios = [] if argv[0] == "schedule" else ["--scenarios", "2"]  # schedule draws none
     assert main([*argv, *scenarios, "--out", str(tmp_path / "run")]) == 0
-    with pytest.raises(InvalidConfig, match="ddim_steps"):
-        RunConfig(steps=3, timesteps="1").validate()  # without a command, every field
+
+
+def hand_written_reverse_config(cfg):
+    """The reverse loop's config as it was written before the `unread` table gave it."""
+    tracking, ddim = cfg.mode == "tracking", cfg.mode == "ddim"
+    return cli.ReverseConfig(
+        ddim_steps=1 if tracking else cfg.ddim_steps,
+        refine_steps=0 if tracking else cfg.refine_steps,
+        eta=cfg.eta if ddim else 0.0,
+        init_mode="canonical" if tracking else cfg.init,
+        sigma_form=cfg.sigma_form if ddim and cfg.eta != 0 else "paper",
+        margin=cfg.margin,
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_reverse_config_gives_an_unread_field_its_neutral_value(mode):
+    for init, form, eta, (ddim_steps, refine_steps) in itertools.product(
+            cli.INIT_MODES, cli.SIGMA_FORMS, (0.0, 0.5), ((1, 0), (5, 5), (3, 7))):
+        cfg = RunConfig(mode=mode, init=init, sigma_form=form, eta=eta, ddim_steps=ddim_steps,
+                        refine_steps=refine_steps, margin=0.1).validate("estimate")
+        assert cli._estimate_reverse_config(cfg) == hand_written_reverse_config(cfg), cfg
 
 
 @pytest.mark.parametrize("command, values", [

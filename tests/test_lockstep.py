@@ -125,8 +125,8 @@ def test_lockstep_matches_per_scenario_reference(case):
         scenarios=int(draw.integers(15, 30)),
         margin=float(draw.uniform(0.0, 0.3)),
         trajectories="unwritten.csv",
-    ).validate()
-    world = cli._build_world(cfg)
+    ).validate("estimate")
+    world = cli._build_world(cfg, "estimate")
     if kind == "forcing":
         world = (*world[:5], ForcingOracle(world[5], t_from=int(draw.choice([1, 40, 100]))))
     oracle = world[5]
@@ -151,8 +151,8 @@ def test_lockstep_matches_per_scenario_reference(case):
 def test_forcing_oracle_covers_every_abort_kind():
     reasons = set()
     for seed in range(4):
-        cfg = cli.RunConfig(scenarios=40, seed=seed).validate()
-        world = cli._build_world(cfg)
+        cfg = cli.RunConfig(scenarios=40, seed=seed).validate("estimate")
+        world = cli._build_world(cfg, "estimate")
         world = (*world[:5], ForcingOracle(world[5], t_from=40))
         scen = generate_scenarios(cfg.seed, cfg.scenarios, cfg=world[1])
         rows, _ = cli._estimate_chunk(cfg, world, scen.scenarios)

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +187,45 @@ def test_depth_range_lost_to_float_arithmetic_exits_2(command, flags, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: cz: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("run*"))
+
+
+# Count fields at 10**20, past what a range can measure or numpy can allocate.
+HUGE_COUNTS = {
+    "steps": ["estimate", "--steps", str(10**20)],
+    "per_link": ["trainsim", "--per-link", str(10**20)],
+    "workers": ["estimate", "--workers", str(10**20)],
+    "scenarios": ["estimate", "--scenarios", str(10**20)],
+    "refine_steps": ["estimate", "--refine-steps", str(10**20)],
+    "refine_steps-direct": ["estimate", "--mode", "direct", "--refine-steps", str(10**20)],
+    "refine_steps-past-memory": ["estimate", "--refine-steps", str(10**12)],
+}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux")
+@pytest.mark.parametrize("name", HUGE_COUNTS)
+def test_huge_count_exits_2_with_one_line_and_no_file(name, tmp_path):
+    """Each run is a child capped at a 1.5 GiB address space, so a run that sized a list or
+    an array by the count would end in a MemoryError there, not on the machine."""
+    code = (
+        "import resource, sys\n"
+        "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 1536 * 2**20 if hard == resource.RLIM_INFINITY else min(hard, 1536 * 2**20)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from posediff.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    argv = HUGE_COUNTS[name]
+    scenarios = [] if "--scenarios" in argv else ["--scenarios", "2"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, *scenarios, "--out", "run"], capture_output=True,
+        text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    field = name.split("-")[0]
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {field}: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "" and not list(tmp_path.iterdir())
 
 
 def test_trainsim_abort_exits_1_with_one_line(tmp_path, capsys):

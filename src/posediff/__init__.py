@@ -44,7 +44,6 @@ from .mononorm import NormalizedPose, NormConfig, denormalize, normalize
 from .reverse import (
     ReverseConfig,
     Trajectory,
-    TrajectoryStep,
     ddim_step,
     predicted_noise,
     run_direct_regression,

@@ -273,10 +273,10 @@ def _build_world(cfg: RunConfig, command: str) -> tuple:
             raise InvalidConfig(f"per_link: no loss point set of this size can be built: "
                                 f"{exc}") from exc
     if not _unread(cfg, FIELDS["refine_steps"], command):
-        try:  # one row's noise block, the longest array the reverse loop sizes by it
-            np.empty((cfg.ddim_steps + cfg.refine_steps, 9))
+        try:  # one chunk's record (9 + 3 + 1 floats a row and step) and noise blocks (9)
+            np.empty((cfg.ddim_steps + cfg.refine_steps, min(cfg.scenarios, MAX_CHUNK), 22))
         except (ValueError, MemoryError) as exc:
-            raise InvalidConfig(f"refine_steps: no noise block of this length can be built: "
+            raise InvalidConfig(f"refine_steps: no record of this length can be built: "
                                 f"{exc}") from exc
     oracle = None
     if not _unread(cfg, FIELDS["denoiser"], command):
@@ -483,9 +483,10 @@ def cmd_diffuse(cfg: RunConfig, world: tuple, meta: dict) -> tuple:
         for first in range(0, len(ts) * cfg.scenarios, MAX_BATCH_ROWS):
             x = np.fromfile(fh, count=9 * MAX_BATCH_ROWS).reshape(-1, 9)
             slots = slot_of[np.arange(first, first + len(x)) % len(ts)]
-            x -= mean[slots]
-            np.square(x, out=x)
-            np.add.at(squares, slots, x)
+            with np.errstate(over="ignore", invalid="ignore"):  # a deviation too far is inf
+                x -= mean[slots]
+                np.square(x, out=x)
+                np.add.at(squares, slots, x)
     std = np.sqrt(np.divide(squares, pool[:, None], out=squares), out=squares)
     mean, std = mean.tolist(), std.tolist()
     del sums, squares  # so that the arrays are freed before the summary's dicts are allocated
@@ -519,14 +520,13 @@ def _estimate_reverse_config(cfg: RunConfig) -> ReverseConfig:
 def _trajectory_rows(traj, index: np.ndarray, done: np.ndarray) -> Iterator:
     """Trajectory CSV rows of the `done` rows of a batch trajectory, scenario by
     scenario, then step by step, built column by column; a one-pass iterator."""
-    steps, n_done = traj.steps, int(done.sum())
-    R = np.stack([s.pose.R[done] for s in steps], axis=1)
-    t = np.stack([s.pose.t[done] for s in steps], axis=1)
-    # [R | t] of each row and step, flattened: r00 r01 r02 tx r10 ... r22 tz.
-    pose_cols = np.concatenate([R, t[..., None]], axis=-1).reshape(-1, 12).T.tolist()
-    add = np.stack([s.add[done] for s in steps], axis=1).ravel().tolist()
-    cols = [[getattr(s, name) for s in steps] * n_done for name in ("index", "timestep", "cond_t")]
-    return zip(np.repeat(index[done], len(steps)).tolist(), *cols, *pose_cols, add)
+    n_done = int(done.sum())
+    # [R | t] of each row, step by step, flattened: r00 r01 r02 tx r10 ... r22 tz.
+    pose = np.concatenate([traj.R[:, done], traj.t[:, done, :, None]], axis=-1).swapaxes(0, 1)
+    pose_cols = pose.reshape(-1, 12).T.tolist()
+    add = traj.add[:, done].T.ravel().tolist()
+    cols = [list(col) * n_done for col in (range(len(traj)), traj.timestep, traj.cond_t)]
+    return zip(np.repeat(index[done], len(traj)).tolist(), *cols, *pose_cols, add)
 
 
 def _estimate_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
@@ -553,7 +553,7 @@ def _estimate_chunk(cfg: RunConfig, world: tuple, scenarios: list) -> tuple:
             keypoints=keypoints,
         )
     done = traj.reasons == ""
-    adds = np.where(done, traj.steps[-1].add, np.inf)
+    adds = np.where(done, traj.add[-1], np.inf)
     index = batch.index.tolist()
     rows = [
         (i, add, len(traj) if ok else 0, cfg.mode, int(not ok), reason)

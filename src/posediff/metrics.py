@@ -221,7 +221,8 @@ def make_observation(scenario: Observation, chain: ChainSpec, seed: int) -> Obse
     cam_pts = scenario.gt_pose.transform(keypoints)
     K = scenario.intrinsics
     z = cam_pts[:, 2:]
-    uv = np.divide(K.f * cam_pts[:, :2], z, out=np.full((len(z), 2), np.nan), where=z > 0)
+    with np.errstate(over="ignore"):  # a keypoint too far out projects to an infinite pixel
+        uv = np.divide(K.f * cam_pts[:, :2], z, out=np.full((len(z), 2), np.nan), where=z > 0)
     uv += (K.cx, K.cy)
     return Observation(
         index=scenario.index,

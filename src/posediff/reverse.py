@@ -26,7 +26,7 @@ to each prediction, always conditioned at t=1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,37 +83,28 @@ class ReverseConfig:
 
 
 @dataclass
-class TrajectoryStep:
-    """One reverse step: the pose after the step and its ADD.
-
-    `timestep` labels the pose's position on the schedule: the DDIM target
-    timestep for scheduled steps, counting down through negative values for
-    the refinement tail (which lives past the end of the schedule).
-    `cond_t` is the timestep the denoiser was conditioned on. In a batch
-    run `pose` is the batch, aborted rows included, and `add` has one entry
-    per row, NaN for rows aborted at or before the step.
-    """
-
-    index: int
-    timestep: int
-    cond_t: int
-    pose: Pose
-    add: float | np.ndarray
-
-
-@dataclass
 class Trajectory:
-    """Steps of a reverse run; a batch run also names each row's abort.
+    """Every step of a reverse run, step-major; a batch run also names each row's abort.
 
-    `reasons` (batch runs only) holds, per row, the class name of the check
-    that aborted it, or "" for a row that passed every check.
+    `timestep[k]` labels step k's pose on the schedule: the DDIM target timestep for
+    scheduled steps, counting down through negative values for the refinement tail (which
+    lives past the end of the schedule). `cond_t[k]` is the timestep the denoiser was
+    conditioned on. `R`, `t` and `add` hold each step's pose and ADD: (steps, 3, 3),
+    (steps, 3) and (steps,) for one observation; (steps, N, 3, 3), (steps, N, 3) and
+    (steps, N) for a batch, aborted rows included, with a row's ADD NaN at and after the
+    step that aborted it. `reasons` (batch runs only) holds, per row, the class name of the
+    check that aborted it, or "" for a row that passed every check.
     """
 
-    steps: list = field(default_factory=list)
+    timestep: list
+    cond_t: list
+    R: np.ndarray
+    t: np.ndarray
+    add: np.ndarray
     reasons: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.timestep)
 
 
 def predicted_noise(n_t: np.ndarray, n0_hat: np.ndarray, t: int, sched: Schedule) -> np.ndarray:
@@ -217,20 +208,24 @@ def _lockstep(
     the row on; every step works row by row, so the other rows are unaffected,
     and nothing computed for an aborted row after its abort is reported.
 
-    After the initial pose, a batch's oracle noise comes from `noise_blocks`:
-    each row's generator draws its whole loop's noise in one call, at the
-    first oracle draw, so an oracle that draws nothing leaves it untouched.
+    The trajectory's arrays are allocated once, after the initial pose, at the plan's
+    length, and each step writes its pose and ADD into its own slot. After the initial
+    pose, a batch's oracle noise comes from `noise_blocks`: each row's generator draws its
+    whole loop's noise in one call, at the first oracle draw, so an oracle that draws
+    nothing leaves it untouched.
     """
     batched = obs.gt_pose.t.ndim == 2
     reasons = np.full(obs.gt_pose.t.shape[0], "", dtype=object) if batched else None
-    traj = Trajectory(reasons=reasons)
     if keypoints is None:
         keypoints = forward_kinematics(chain, obs.joints)
     with np.errstate(all="ignore"):
         pose = _initial_pose(rcfg, scales, cfg, obs, rng, prev_pose, reasons)
+        shape = (len(plan), *pose.t.shape[:-1])
+        traj = Trajectory([p[0] for p in plan], [p[1] for p in plan], np.empty(shape + (3, 3)),
+                          np.empty(shape + (3,)), np.empty(shape), reasons)
         if batched:
             rng = noise_blocks(rng, len(plan))
-        for index, (label, t, t_prev) in enumerate(plan):
+        for index, (_, t, t_prev) in enumerate(plan):
             # A DDIM step normalizes the pose before the oracle call, so a row failing both
             # records the normalization's check, and then steps toward the prediction.
             if t_prev is not None:
@@ -249,7 +244,7 @@ def _lockstep(
             )
             if batched:
                 add = np.where(reasons == "", add, np.nan)
-            traj.steps.append(TrajectoryStep(index, label, t, pose, add))
+            traj.R[index], traj.t[index], traj.add[index] = pose.R, pose.t, add
     return pose, traj
 
 
@@ -277,7 +272,7 @@ def run_reverse(
     For a batch observation (`Observation.stack`), `rng` holds one
     generator per row, `prev_pose` and `keypoints` are batched, and all rows
     advance in lockstep; `Trajectory.reasons` names the rows that aborted.
-    Each step's `pose` is the whole batch, aborted rows included.
+    The trajectory's `R`, `t` and `add` hold every row at every step, aborted rows included.
     """
     ts = ddim_timesteps(sched.T, rcfg.ddim_steps)
     plan = [(t_prev, t, t_prev) for t, t_prev in zip(ts, ts[1:] + [0])]

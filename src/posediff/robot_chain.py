@@ -66,6 +66,9 @@ class ChainSpec:
             )
         if not all(0 < l < math.inf for l in self.link_lengths):
             raise ValueError("link lengths must be positive and finite")
+        # A keypoint lies at most the reach from the base, so no forward kinematics overflows.
+        if not sum(self.link_lengths) < math.inf:
+            raise ValueError("link lengths must sum to a finite reach")
         for ax in self.joint_axes:
             if len(ax) != 3:
                 raise ValueError(f"joint axis {ax} does not have 3 components")

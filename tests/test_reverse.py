@@ -146,7 +146,7 @@ class TestRunReverse:
             observations[0], chain, sched, scales, norm_cfg, rcfg, PerfectOracle(),
             scenario_rng(31, 0, 1),
         )
-        ts = [s.timestep for s in traj.steps]
+        ts = traj.timestep
         assert ts == [80, 60, 40, 20, 0, -1, -2, -3, -4, -5]
         assert all(a > b for a, b in zip(ts, ts[1:]))
 
@@ -159,7 +159,7 @@ class TestRunReverse:
             observations[1], chain, sched, scales, norm_cfg, rcfg, PerfectOracle(),
             scenario_rng(31, 1, 1),
         )
-        adds = [s.add for s in traj.steps]
+        adds = traj.add
         assert all(a >= b - 1e-12 for a, b in zip(adds[1:], adds[2:]))
         assert adds[-1] < 1e-9
 
@@ -223,6 +223,24 @@ class TestRunReverse:
         kp = forward_kinematics(chain, sc.joints)
         assert add_metric(sc.gt_pose, final, kp) < 1e-9
 
+    def test_the_record_is_step_major_and_ends_at_the_returned_pose(
+        self, world, sched, norm_cfg, chain
+    ):
+        scales, scen, observations = world
+        rcfg = ReverseConfig(ddim_steps=3, refine_steps=2)
+        oracle = NoisyOracle(0.1, sched, scales, norm_cfg)
+        single = (observations[0], scenario_rng(31, 0, 1), ())
+        batch = (Observation.stack(observations[:4]), [scenario_rng(31, i, 1) for i in range(4)],
+                 (4,))
+        for obs, rng, rows in (single, batch):
+            final, traj = run_reverse(obs, chain, sched, scales, norm_cfg, rcfg, oracle, rng)
+            assert len(traj) == len(traj.timestep) == len(traj.cond_t) == 5
+            assert traj.R.shape == (5, *rows, 3, 3)
+            assert traj.t.shape == (5, *rows, 3)
+            assert traj.add.shape == (5, *rows)
+            assert_same_bits(traj.R[-1], final.R)
+            assert_same_bits(traj.t[-1], final.t)
+
     def test_deterministic_per_seed(self, world, sched, norm_cfg, chain):
         scales, scen, observations = world
         rcfg = ReverseConfig()
@@ -249,7 +267,7 @@ class TestDirectRegression:
         )
         kp = forward_kinematics(chain, sc.joints)
         assert add_metric(sc.gt_pose, final, kp) < 1e-9
-        assert [s.timestep for s in traj.steps] == [0]
+        assert traj.timestep == [0]
 
     def test_zero_iterations_rejected(self, world, sched, norm_cfg, chain):
         scales, scen, observations = world
@@ -265,7 +283,7 @@ class TestDirectRegression:
             observations[0], chain, sched, scales, norm_cfg, 4, PerfectOracle(),
             scenario_rng(31, 0, 1),
         )
-        assert [s.timestep for s in traj.steps] == [3, 2, 1, 0]
+        assert traj.timestep == [3, 2, 1, 0]
 
     def test_noisy_paired_comparison_favors_scheduled_pipeline(
         self, world, sched, norm_cfg, chain

@@ -76,6 +76,7 @@ def test_single_scenario_run_raises_non_finite_state(norm_cfg, sched, chain):
                                    {"n_joints": True, "link_lengths": [0.3]},
                                    {"link_lengths": [np.nan, 0.2]},
                                    {"link_lengths": [np.inf, 0.2]},
+                                   {"n_joints": 2, "link_lengths": [1e308, 1e308]},
                                    {"link_lengths": [0.3], "joint_axes": [[np.nan, 0.0, 1.0]]},
                                    {"link_lengths": []},
                                    {"n_joints": 2, "link_lengths": [0.3, 0.2],
@@ -198,6 +199,7 @@ HUGE_COUNTS = {
     "refine_steps": ["estimate", "--refine-steps", str(10**20)],
     "refine_steps-direct": ["estimate", "--mode", "direct", "--refine-steps", str(10**20)],
     "refine_steps-past-memory": ["estimate", "--refine-steps", str(10**12)],
+    "refine_steps-chunk": ["estimate", "--scenarios", "256", "--refine-steps", "1000000"],
 }
 
 
@@ -226,6 +228,28 @@ def test_huge_count_exits_2_with_one_line_and_no_file(name, tmp_path):
     assert proc.stderr.startswith(f"error: {field}: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == "" and not list(tmp_path.iterdir())
+
+
+def test_a_keypoint_projected_past_float_range_aborts_its_row_unwarned(tmp_path):
+    """A chain of finite reach can still put a keypoint's pixel, f * x / z, past float range:
+    the run aborts each row as non-finite and leaves no numpy warning on stderr."""
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"n_joints": 1, "link_lengths": [1e306]}))
+    out = str(tmp_path / "run")
+    assert main(["estimate", "--scenarios", "4", "--chain", str(path), "--out", out]) == 1
+    summary = json.loads(Path(out + ".json").read_text())
+    assert summary["aborted"] == 4 and summary["abort_reasons"] == ["NonFiniteState"]
+
+
+def test_a_deviation_squared_past_float_range_is_a_null_std_unwarned(tmp_path):
+    """Noise scales near float range give noised translations whose squared deviations
+    overflow: their stds are written as null, and no numpy warning reaches stderr."""
+    out = str(tmp_path / "run")
+    argv = ["diffuse", "--scenarios", "400", "--gamma", "1e-305", "--no-clamp", "--out", out]
+    assert main(argv) == 0
+    summary = json.loads(Path(out + ".json").read_text())
+    for entry in summary["per_timestep"].values():
+        assert entry["component_std"][6:] == [None, None, None]
 
 
 def test_trainsim_abort_exits_1_with_one_line(tmp_path, capsys):
